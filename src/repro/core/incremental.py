@@ -49,7 +49,7 @@ deltas chain into catalog delta-fingerprints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -735,9 +735,7 @@ class IncrementalSketch:
         """Renumber slots to position space and drop lazy hygiene debt."""
         rows_idx = self._alive_row_slots()
         cols_idx = self._alive_col_slots()
-        structs = [self._row_struct(int(r)) for r in rows_idx]
-        new_rows = [np.searchsorted(cols_idx, s).astype(_INT) for s in structs]
-        csr = self._csr_from(new_rows)
+        csr = self._structure()
         csc = as_csc(csr)
         m, n = self._m, self._n
         her_dirty = {
@@ -750,7 +748,11 @@ class IncrementalSketch:
             for c in self._hec_dirty
             if self._col_alive[c]
         }
-        self._rows = new_rows
+        self._rows = (
+            np.split(csr.indices.astype(_INT, copy=False), csr.indptr[1:-1])
+            if m
+            else []
+        )
         self._cols = (
             np.split(csc.indices.astype(_INT, copy=False), csc.indptr[1:-1])
             if n
@@ -813,7 +815,7 @@ class IncrementalSketch:
             for c in self._hec_dirty:
                 if not self._col_alive[c]:
                     continue
-                if untouched is not None and untouched[c]:
+                if untouched[c]:
                     fast_slots.append(c)
                     fast_bases.append(self._cols[c])
                 else:
@@ -829,14 +831,8 @@ class IncrementalSketch:
             count("incremental.hec_repaired", len(self._hec_dirty))
             self._hec_dirty.clear()
 
-    def _fast_cols_mask(self) -> Optional[np.ndarray]:
-        """Mask of column slots whose base list is the whole truth.
-
-        ``None`` means no column qualifies (cheap answer when pending
-        batches exist but computing the mask would not pay off).
-        """
-        if not (self._col_extra or self._col_removed or self._col_pending):
-            return np.ones(self._col_top, dtype=bool)
+    def _fast_cols_mask(self) -> np.ndarray:
+        """Mask of column slots whose base list is the whole truth."""
         mask = np.ones(self._col_top, dtype=bool)
         for c in self._col_extra:
             mask[c] = False
@@ -846,25 +842,12 @@ class IncrementalSketch:
             mask[cb] = False
         return mask
 
-    def _is_diagonal(
-        self,
-        rows_idx: np.ndarray,
-        cols_idx: np.ndarray,
-        max_hr: int,
-        max_hc: int,
-    ) -> bool:
-        m, n = self._m, self._n
-        if m != n or self._nnz != m:
+    def _is_diagonal(self, max_hr: int, max_hc: int) -> bool:
+        m = self._m
+        if m != self._n or self._nnz != m or max(max_hr, max_hc) > 1:
             return False
-        if m == 0:
-            return True
-        if max_hr != 1 or max_hc != 1:
-            return False
-        for i, r in enumerate(rows_idx.tolist()):
-            struct = self._row_struct(r)
-            if struct.size != 1 or struct[0] != cols_idx[i]:
-                return False
-        return True
+        # One cell per row: diagonal iff row i's cell sits in column i.
+        return bool(np.array_equal(self._structure().indices, np.arange(m)))
 
     def sketch(self) -> MNCSketch:
         """Materialize the exact sketch (repairing dirty extensions).
@@ -892,7 +875,7 @@ class IncrementalSketch:
                 her = None
             if not hec.any():
                 hec = None
-        diagonal = self._is_diagonal(rows_idx, cols_idx, max_hr, max_hc)
+        diagonal = self._is_diagonal(max_hr, max_hc)
         result = MNCSketch.trusted(
             shape=(self._m, self._n),
             hr=hr,
@@ -930,35 +913,51 @@ class IncrementalSketch:
             exact=False,
         )
 
-    def _csr_from(self, structs: Sequence[np.ndarray]) -> sp.csr_array:
+    def _structure(self) -> sp.csr_array:
+        """The current structure as a canonical CSR array, in one pass.
+
+        A row's extras are newer slots than its base, so a stable sort on
+        the owning row appends them, ascending; slots need remapping to
+        positions only while some column slot is dead.
+        """
         m, n = self._m, self._n
-        indptr = np.zeros(m + 1, dtype=_INT)
-        if structs:
-            np.cumsum([s.size for s in structs], out=indptr[1:])
-            indices = (
-                np.concatenate(structs)
-                if indptr[-1]
-                else np.empty(0, dtype=_INT)
+        rows_idx = self._alive_row_slots()
+        bases = self._rows
+        if self._row_top != m:
+            bases = [bases[r] for r in rows_idx.tolist()]
+        sizes = np.fromiter(map(len, bases), dtype=_INT, count=m)
+        owners = np.repeat(np.arange(m, dtype=_INT), sizes)
+        cols = np.concatenate(bases) if m else np.empty(0, dtype=_INT)
+        extras = [
+            (r, e) for r, e in self._row_extra.items() if self._row_alive[r]
+        ]
+        if extras:
+            ext_rows = np.repeat(
+                np.searchsorted(rows_idx, [r for r, _ in extras]),
+                [len(e) for _, e in extras],
             )
-        else:
-            indices = np.empty(0, dtype=_INT)
-        data = np.ones(indices.size, dtype=np.float64)
-        return sp.csr_array((data, indices, indptr), shape=(m, n))
+            ext_cols = np.fromiter((c for _, e in extras for c in e), _INT)
+            order = np.lexsort((ext_cols, ext_rows))
+            owners = np.concatenate([owners, ext_rows[order]])
+            cols = np.concatenate([cols, ext_cols[order]])
+            order = np.argsort(owners, kind="stable")
+            owners, cols = owners[order], cols[order]
+        if self._col_top != n:
+            keep = self._col_alive[cols]
+            owners = owners[keep]
+            cols = np.searchsorted(self._alive_col_slots(), cols[keep])
+        indptr = np.zeros(m + 1, dtype=_INT)
+        np.cumsum(np.bincount(owners, minlength=m), out=indptr[1:])
+        return sp.csr_array((np.ones(cols.size), cols, indptr), shape=(m, n))
 
     def to_matrix(self) -> sp.csr_array:
         """Rebuild the current structure as a canonical CSR array.
 
         Non-zeros carry value ``1.0`` — the sketch only ever tracked
         structure, so this is the rebuild target the differential
-        contract compares against.
+        contract compares against. One vectorized ``O(nnz)`` pass.
         """
-        rows_idx = self._alive_row_slots()
-        cols_idx = self._alive_col_slots()
-        structs = [
-            np.searchsorted(cols_idx, self._row_struct(int(r))).astype(_INT)
-            for r in rows_idx
-        ]
-        return self._csr_from(structs)
+        return self._structure()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -135,7 +135,7 @@ class MatrixRegistry:
                 )
             except SketchError as exc:
                 raise ProtocolError(f"cannot apply delta: {exc}") from None
-            matrix = sp.csr_array(incremental.to_matrix())
+            matrix = incremental.to_matrix()
             assign_fingerprint(matrix, fingerprint)
             self._matrices[name] = matrix
             self._leaves[name] = leaf(matrix, name=name)

@@ -83,19 +83,64 @@ def assert_sketch_fields_equal(actual: MNCSketch, expected: MNCSketch) -> None:
     assert actual.exact == expected.exact
 
 
+def assert_structure_equal(incr: IncrementalSketch, dense: np.ndarray) -> None:
+    matrix = incr.to_matrix()
+    assert matrix.has_canonical_format
+    np.testing.assert_array_equal(matrix.toarray() != 0, dense)
+
+
 def run_equivalence(dense: np.ndarray, deltas, check_every: int = 1) -> None:
-    """Drive incremental and dense states in parallel, comparing sketches."""
+    """Drive incremental and dense states in parallel, comparing sketches
+    every *check_every* deltas and materialized structure after each."""
     incr = IncrementalSketch(sp.csr_array(dense.astype(float)))
     for step, delta in enumerate(deltas):
         apply_update(incr, delta)
         dense = dense_apply(dense, delta)
         assert incr.shape == dense.shape
         assert incr.total_nnz == int(np.count_nonzero(dense))
+        assert_structure_equal(incr, dense)
         if step % check_every == 0:
             assert_sketch_fields_equal(incr.sketch(), rebuild_sketch(dense))
     assert_sketch_fields_equal(incr.sketch(), rebuild_sketch(dense))
-    structure = incr.to_matrix().toarray() != 0
-    np.testing.assert_array_equal(structure, dense)
+    assert_structure_equal(incr, dense)
+
+
+def reference_to_matrix(incr: IncrementalSketch) -> sp.csr_array:
+    """Per-row materialization: the bit-identity oracle for ``to_matrix``.
+
+    One ``_row_struct`` + ``searchsorted`` round trip per alive row — the
+    slow but obviously-correct reading of the slot structure that the
+    vectorized :meth:`IncrementalSketch.to_matrix` must reproduce exactly.
+    """
+    rows_idx = incr._alive_row_slots()
+    cols_idx = incr._alive_col_slots()
+    structs = [
+        np.searchsorted(cols_idx, incr._row_struct(int(r))).astype(np.int64)
+        for r in rows_idx
+    ]
+    m, n = incr.shape
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    if structs:
+        np.cumsum([s.size for s in structs], out=indptr[1:])
+        indices = (
+            np.concatenate(structs)
+            if indptr[-1]
+            else np.empty(0, dtype=np.int64)
+        )
+    else:
+        indices = np.empty(0, dtype=np.int64)
+    data = np.ones(indices.size, dtype=np.float64)
+    return sp.csr_array((data, indices, indptr), shape=(m, n))
+
+
+def assert_bit_identical(actual: sp.csr_array, expected: sp.csr_array) -> None:
+    assert type(actual) is type(expected)
+    assert actual.shape == expected.shape
+    for field in ("indptr", "indices", "data"):
+        lhs = getattr(actual, field)
+        rhs = getattr(expected, field)
+        assert lhs.dtype == rhs.dtype, field
+        np.testing.assert_array_equal(lhs, rhs, err_msg=field)
 
 
 def seeded_dense(seed: int, m: int = 10, n: int = 8) -> np.ndarray:
@@ -246,6 +291,57 @@ class TestUpdateVsRebuild:
             dense = rng.random(shape) < 0.4
             run_equivalence(dense, random_deltas(rng, shape, 10),
                             check_every=2)
+
+
+class TestMaterializationBitIdentity:
+    """``to_matrix`` equals the per-row reference oracle bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_random_sequences(self, seed):
+        rng = np.random.default_rng([7, seed])
+        m, n = (int(d) for d in rng.integers(0, 12, size=2))
+        dense = rng.random((m, n)) < rng.random()
+        incr = IncrementalSketch(sp.csr_array(dense.astype(float)))
+        assert_bit_identical(incr.to_matrix(), reference_to_matrix(incr))
+        for delta in random_deltas(rng, (m, n), 25):
+            apply_update(incr, delta)
+            assert_bit_identical(incr.to_matrix(), reference_to_matrix(incr))
+
+    def test_sequences_through_compaction(self):
+        """Dead slots, row extras and pending cells before, during and
+        after automatic and forced compactions."""
+        rng = np.random.default_rng(91)
+        dense = rng.random((12, 10)) < 0.3
+        incr = IncrementalSketch(sp.csr_array(dense.astype(float)))
+        for step in range(120):
+            pos = np.sort(rng.choice(incr.shape[0], 2, replace=False))
+            apply_update(incr, DeleteRows(pos))
+            apply_update(incr, AppendCols([
+                np.flatnonzero(rng.random(incr.shape[0]) < 0.4)
+            ]))
+            apply_update(incr, DeleteCols([int(rng.integers(incr.shape[1]))]))
+            apply_update(incr, AppendRows([
+                np.flatnonzero(rng.random(incr.shape[1]) < 0.3)
+                for _ in range(2)
+            ]))
+            assert_bit_identical(incr.to_matrix(), reference_to_matrix(incr))
+            if step % 37 == 36:
+                incr._compact()
+                assert_bit_identical(
+                    incr.to_matrix(), reference_to_matrix(incr)
+                )
+        assert incr.stats()["compactions"] > 120 // 37
+
+    def test_dead_slots_and_extras_present(self):
+        """Dead row and column slots and row extras in one state."""
+        rng = np.random.default_rng(92)
+        incr = IncrementalSketch(sp.csr_array(rng.random((6, 6)) < 0.5))
+        apply_update(incr, AppendCols([[0, 2, 5], [1]]))
+        apply_update(incr, DeleteCols([1]))
+        apply_update(incr, DeleteRows([3]))
+        stats = incr.stats()
+        assert stats["dead_cols"] and stats["dead_rows"] and incr._row_extra
+        assert_bit_identical(incr.to_matrix(), reference_to_matrix(incr))
 
 
 class TestEmptyDeltaNoOp:
@@ -521,6 +617,43 @@ class TestDiagonalTracking:
         incr = IncrementalSketch(dense)
         expected = MNCSketch.from_matrix(dense)
         assert incr.sketch().fully_diagonal == expected.fully_diagonal
+
+    @staticmethod
+    def assert_diagonal_matches_rebuild(incr: IncrementalSketch) -> bool:
+        rebuilt = MNCSketch.from_matrix(incr.to_matrix())
+        assert incr.sketch().fully_diagonal == rebuilt.fully_diagonal
+        return rebuilt.fully_diagonal
+
+    def test_identity_matches_rebuild(self):
+        assert self.assert_diagonal_matches_rebuild(
+            IncrementalSketch(sp.identity(7, format="csr"))
+        )
+
+    def test_permutation_matches_rebuild(self):
+        dense = np.eye(7)[np.random.default_rng(5).permutation(7)]
+        assert not self.assert_diagonal_matches_rebuild(
+            IncrementalSketch(dense)
+        )
+
+    def test_diagonal_reached_through_deltas(self):
+        dense = np.zeros((5, 6))
+        dense[[0, 1, 2, 3], [0, 1, 3, 4]] = 1.0
+        dense[4, 5] = 1.0
+        incr = IncrementalSketch(dense)
+        assert not self.assert_diagonal_matches_rebuild(incr)
+        # Row 2 moves its cell onto the diagonal; row 3 stays off it.
+        apply_update(incr, BlockUpdate(2, 2, [[1, 0]]))
+        assert not self.assert_diagonal_matches_rebuild(incr)
+        apply_update(incr, DeleteRows([3]))
+        assert not self.assert_diagonal_matches_rebuild(incr)
+        # 4x6 now: rows 0..2 diagonal, row 3 holds column 5.
+        apply_update(incr, DeleteCols([3, 4]))
+        assert self.assert_diagonal_matches_rebuild(incr)
+        apply_update(incr, DeleteRows([3]))
+        assert not self.assert_diagonal_matches_rebuild(incr)
+        apply_update(incr, AppendRows([[3]]))
+        assert incr.shape == (4, 4)
+        assert self.assert_diagonal_matches_rebuild(incr)
 
 
 class TestDownstreamEstimates:

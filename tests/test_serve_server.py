@@ -373,6 +373,26 @@ class TestStreamingUpdates:
         )["nnz"]
         assert got == want
 
+    def test_block_updates_match_dense_replay(self, server):
+        """After each HTTP block update the registered matrix is exactly
+        the dense replay of the deltas, and the reply's nnz agrees."""
+        from repro.core.incremental import BlockUpdate
+
+        client, srv = server
+        x, _ = _matrices()
+        client.register("X", x)
+        dense = x.toarray() != 0
+        rng = np.random.default_rng(21)
+        for _ in range(6):
+            r0, c0 = int(rng.integers(0, 45)), int(rng.integers(0, 35))
+            pattern = rng.random((5, 5)) < 0.3
+            reply = client.apply_update("X", BlockUpdate(r0, c0, pattern))
+            dense[r0:r0 + 5, c0:c0 + 5] = pattern
+            matrix = srv.registry.matrix("X")
+            assert matrix.has_canonical_format
+            np.testing.assert_array_equal(matrix.toarray() != 0, dense)
+            assert reply["nnz"] == matrix.nnz == int(dense.sum())
+
     def test_untouched_name_stays_cached_across_update(self, server):
         from repro.core.incremental import DeleteCols
 

@@ -14,25 +14,16 @@ module times the four layers of that path in isolation:
   the pre-overhaul cost of each internal construction;
 - ``alg1_estimate`` — :func:`estimate_product_nnz` (Algorithm 1);
 - ``alg1_generic`` — Algorithm 1 with extensions disabled, forcing the
-  generic density-map case (the log1p/tree-sum kernel) on every lane;
+  generic density-map case (the log1p/sum kernel) on every lane;
 - ``propagate`` — :func:`propagate_product` (Eq 11 scaling + rounding);
 - ``chain_dp20`` — a 20-matrix ``optimize_chain_sparse`` DP (Appendix C).
-
-The headline numbers always run under the ``numpy`` reference backend.
-When numba is importable (or ``REPRO_BENCH_BACKENDS`` names backends
-explicitly), the kernelized benches are re-timed per backend after a
-``backends.warmup()`` call — so JIT compile time is recorded separately
-(``jit_compile_seconds``) and excluded from the per-op timings — and the
-payload gains a ``backends`` section with numba-vs-numpy speedups.
 
 Results land in ``benchmarks/results/BENCH_hotpath.json`` together with a
 fixed numpy calibration time (for cross-machine normalization) and, when
 ``benchmarks/baselines/hotpath_pre_pr.json`` has an entry for the current
 scale, speedup ratios against the pre-overhaul code. Set
 ``REPRO_BENCH_ENFORCE_HOTPATH=1`` to turn the speedup targets (>=2x on
-construction and Algorithm 1, >=3x on the chain DP) into hard assertions,
-and ``REPRO_BENCH_ENFORCE_BACKEND=1`` to require numba >=3x on the
-generic Algorithm 1 case and >=2x on the chain DP versus numpy.
+construction and Algorithm 1, >=3x on the chain DP) into hard assertions.
 
 ``benchmarks/check_hotpath_regression.py`` consumes the same JSON to guard
 against future regressions; see docs/PERFORMANCE.md.
@@ -52,7 +43,6 @@ from pathlib import Path
 import numpy as np
 
 from conftest import bench_scale, write_bench_json
-from repro import backends
 from repro.core.estimate import estimate_product_nnz
 from repro.core.propagate import propagate_product
 from repro.core.sketch import MNCSketch
@@ -68,17 +58,6 @@ MIN_SPEEDUP = {
     "sketch_construct": 2.0,
     "alg1_estimate": 2.0,
     "chain_dp20": 3.0,
-}
-
-#: Benches re-timed under each non-reference kernel backend (the ones the
-#: dispatch layer actually kernelizes; construction is backend-free).
-BACKEND_BENCHES = ("alg1_estimate", "alg1_generic", "propagate", "chain_dp20")
-
-#: numba-vs-numpy speedup targets (enforced only when
-#: ``REPRO_BENCH_ENFORCE_BACKEND=1`` — the CI numba leg at scale 0.2).
-MIN_BACKEND_SPEEDUP = {
-    "alg1_generic": 3.0,
-    "chain_dp20": 2.0,
 }
 
 CHAIN_LENGTH = 20
@@ -188,12 +167,7 @@ def _load_pre_pr(scale: float) -> dict | None:
 
 
 def _bench_closures(scale: float) -> tuple[int, int, dict]:
-    """(micro dim, chain dim, name -> (callable, timing kwargs)) for *scale*.
-
-    One closure table serves every backend leg: the inputs are built once
-    and each leg re-times the same callables under a different active
-    backend (bit-identity means the work is identical by construction).
-    """
+    """(micro dim, chain dim, name -> (callable, timing kwargs)) for *scale*."""
     dim, chain_dim = _dims(scale)
     matrix = random_sparse(dim, dim, 0.01, seed=7)
     other = random_sparse(dim, dim, 0.005, seed=8)
@@ -210,8 +184,7 @@ def _bench_closures(scale: float) -> tuple[int, int, dict]:
         ),
         "alg1_estimate": (lambda: estimate_product_nnz(h_a, h_b), {}),
         # Extensions disabled forces the generic density-map path (the
-        # log1p/tree-sum kernel) on every lane — the Algorithm 1 case the
-        # compiled backend accelerates the most.
+        # log1p/sum kernel) on every lane.
         "alg1_generic": (
             lambda: estimate_product_nnz(h_a, h_b, use_extensions=False), {}
         ),
@@ -226,65 +199,23 @@ def _bench_closures(scale: float) -> tuple[int, int, dict]:
     return dim, chain_dim, fns
 
 
-def _extra_backends() -> list[str]:
-    """Non-reference backends to re-time (``REPRO_BENCH_BACKENDS`` override).
-
-    Defaults to ``numba`` when importable. The interpreted ``python``
-    backend is never a default: it is orders of magnitude too slow for
-    ``chain_dp20`` (opt in explicitly if you want its numbers).
-    """
-    env = os.environ.get("REPRO_BENCH_BACKENDS")
-    if env is not None:
-        return [name for name in (p.strip() for p in env.split(",")) if name]
-    return ["numba"] if backends.numba_importable() else []
-
-
 def run_hotpath_benchmark(scale: float | None = None) -> dict:
     scale = bench_scale() if scale is None else scale
     dim, chain_dim, fns = _bench_closures(scale)
-
-    # The headline numbers (and the committed baselines they are compared
-    # against) are always the numpy reference backend, regardless of what
-    # REPRO_BACKEND says — backend legs get their own payload section.
-    with backends.use_backend("numpy"):
-        backends.warmup()
-        benches: dict[str, dict] = {
-            name: _time_per_op(fn, **opts) for name, (fn, opts) in fns.items()
-        }
+    benches: dict[str, dict] = {
+        name: _time_per_op(fn, **opts) for name, (fn, opts) in fns.items()
+    }
 
     payload: dict = {
         "scale": scale,
         "dims": {"micro": dim, "chain": chain_dim, "chain_length": CHAIN_LENGTH},
         "calibration_seconds": _calibration_seconds(),
-        "backend_reference": "numpy",
         "benchmarks": benches,
         "construct_speedup_within_run": (
             benches["sketch_construct_validated_eager"]["seconds_per_op"]
             / benches["sketch_construct"]["seconds_per_op"]
         ),
     }
-
-    backend_results: dict[str, dict] = {}
-    for name in _extra_backends():
-        with backends.use_backend(name):
-            jit_seconds = backends.warmup()
-            timed = {
-                bench: _time_per_op(fns[bench][0], **fns[bench][1])
-                for bench in BACKEND_BENCHES
-            }
-        backend_results[name] = {
-            "jit_compile_seconds": jit_seconds,
-            "benchmarks": timed,
-            "speedup_vs_numpy": {
-                bench: (
-                    benches[bench]["seconds_per_op"]
-                    / timed[bench]["seconds_per_op"]
-                )
-                for bench in BACKEND_BENCHES
-            },
-        }
-    if backend_results:
-        payload["backends"] = backend_results
 
     try:
         from repro.core.hotpath import HOTPATH
@@ -324,18 +255,6 @@ def _render(payload: dict) -> str:
         f"{'(validated+eager)/trusted construct':<36}"
         f"{'':>12}{payload['construct_speedup_within_run']:>19.2f}x"
     )
-    for backend_name, leg in payload.get("backends", {}).items():
-        lines.append(
-            f"backend={backend_name} "
-            f"(jit compile {leg['jit_compile_seconds']:.3f}s)"
-        )
-        lines.append(f"{'bench':<36}{'us/op':>12}{'speedup vs numpy':>20}")
-        for bench, result in leg["benchmarks"].items():
-            ratio = leg["speedup_vs_numpy"][bench]
-            lines.append(
-                f"{bench:<36}{result['seconds_per_op'] * 1e6:>12.1f}"
-                f"{f'{ratio:.2f}x':>20}"
-            )
     return "\n".join(lines)
 
 
@@ -351,29 +270,12 @@ def _enforce(payload: dict) -> None:
         )
 
 
-def _enforce_backend(payload: dict) -> None:
-    """REPRO_BENCH_ENFORCE_BACKEND=1: numba must beat numpy by its targets."""
-    leg = payload.get("backends", {}).get("numba")
-    assert leg is not None, (
-        "REPRO_BENCH_ENFORCE_BACKEND=1 but no numba leg ran "
-        "(is numba installed / listed in REPRO_BENCH_BACKENDS?)"
-    )
-    for bench, target in MIN_BACKEND_SPEEDUP.items():
-        achieved = leg["speedup_vs_numpy"][bench]
-        assert achieved >= target, (
-            f"numba {bench}: {achieved:.2f}x over numpy, below the "
-            f"{target:.1f}x target"
-        )
-
-
 def _run_and_report() -> dict:
     payload = run_hotpath_benchmark()
     write_bench_json("hotpath", payload)
     print(_render(payload))
     if os.environ.get("REPRO_BENCH_ENFORCE_HOTPATH") == "1":
         _enforce(payload)
-    if os.environ.get("REPRO_BENCH_ENFORCE_BACKEND") == "1":
-        _enforce_backend(payload)
     return payload
 
 

@@ -26,12 +26,6 @@ Usage::
 The baseline records its scale; a scale mismatch is an error (timings at
 different input sizes are not comparable), so CI pins ``REPRO_BENCH_SCALE``
 for both the run and the committed baseline.
-
-Top-level ``benchmarks`` numbers are always the numpy reference backend.
-Kernel-backend legs (e.g. numba) are compared under per-backend keys in
-the baseline's ``backends`` section; a backend present in the baseline
-but absent from the current run is skipped, not failed, so numpy-only
-machines can still check the reference numbers.
 """
 
 from __future__ import annotations
@@ -66,29 +60,15 @@ def _strip(benchmarks: dict) -> dict:
 
 
 def update_baseline() -> int:
-    """Write/merge the committed baseline from the latest results.
-
-    Top-level ``benchmarks`` is always the numpy reference backend (the
-    format bench_metrics.py also reads). Per-backend numbers live under a
-    ``backends`` key; backends absent from the latest run (e.g. updating
-    on a machine without numba) keep their previously committed entries.
-    """
+    """Overwrite the committed baseline from the latest results (the
+    format bench_metrics.py also reads)."""
     payload = _load(RESULTS_FILE, "benchmark results")
-    backends = {}
-    if BASELINE_FILE.exists():
-        old = json.loads(BASELINE_FILE.read_text())
-        if f"{old.get('scale', payload['scale']):g}" == f"{payload['scale']:g}":
-            backends = old.get("backends", {})
-    for name, leg in payload.get("backends", {}).items():
-        backends[name] = _strip(leg["benchmarks"])
     baseline = {
         "scale": payload["scale"],
         "dims": payload["dims"],
         "calibration_seconds": payload["calibration_seconds"],
         "benchmarks": _strip(payload["benchmarks"]),
     }
-    if backends:
-        baseline["backends"] = backends
     BASELINE_FILE.parent.mkdir(exist_ok=True)
     BASELINE_FILE.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
     print(f"baseline updated: {BASELINE_FILE} (scale={baseline['scale']:g})")
@@ -117,38 +97,23 @@ def check(tolerance: float) -> int:
 
     failures = []
 
-    def compare(base_benchmarks: dict, current_benchmarks: dict, prefix: str):
-        for name, base in sorted(base_benchmarks.items()):
-            label = f"{prefix}{name}"
-            current = current_benchmarks.get(name)
-            if current is None:
-                failures.append(f"{label}: missing from current results")
-                continue
-            allowed = base["seconds_per_op"] * calibration_ratio
-            ratio = current["seconds_per_op"] / allowed
-            flag = "  FAIL" if ratio > tolerance else ""
-            print(
-                f"{label:<36}{allowed * 1e6:>14.1f}"
-                f"{current['seconds_per_op'] * 1e6:>14.1f}{ratio:>8.2f}x{flag}"
-            )
-            if ratio > tolerance:
-                failures.append(
-                    f"{label}: {ratio:.2f}x the machine-normalized baseline "
-                    f"(tolerance {tolerance:g}x)"
-                )
-
-    compare(baseline["benchmarks"], payload["benchmarks"], "")
-    for backend_name, base_benchmarks in sorted(
-        baseline.get("backends", {}).items()
-    ):
-        leg = payload.get("backends", {}).get(backend_name)
-        if leg is None:
-            # Baselines may carry backends this machine can't run (e.g. a
-            # numba baseline checked on a numpy-only runner) — not a
-            # regression, the dedicated CI leg covers them.
-            print(f"{backend_name}/*: skipped (backend not in current run)")
+    for name, base in sorted(baseline["benchmarks"].items()):
+        current = payload["benchmarks"].get(name)
+        if current is None:
+            failures.append(f"{name}: missing from current results")
             continue
-        compare(base_benchmarks, leg["benchmarks"], f"{backend_name}/")
+        allowed = base["seconds_per_op"] * calibration_ratio
+        ratio = current["seconds_per_op"] / allowed
+        flag = "  FAIL" if ratio > tolerance else ""
+        print(
+            f"{name:<36}{allowed * 1e6:>14.1f}"
+            f"{current['seconds_per_op'] * 1e6:>14.1f}{ratio:>8.2f}x{flag}"
+        )
+        if ratio > tolerance:
+            failures.append(
+                f"{name}: {ratio:.2f}x the machine-normalized baseline "
+                f"(tolerance {tolerance:g}x)"
+            )
 
     if failures:
         print()

@@ -57,14 +57,6 @@ processes (default ``$REPRO_WORKERS`` or 1; results match a serial run —
 see ``docs/PARALLEL.md``). Worker traces are merged into the parent's
 ``--trace`` output.
 
-Data commands (and ``estimators``/``serve``) accept ``--backend NAME``
-to pick the kernel backend for the estimation hot paths — ``numpy``
-(always-available reference), ``numba`` (compiled), ``python`` (debug),
-or ``auto`` (default: ``$REPRO_BACKEND``, else numba when importable).
-The selection is exported via ``$REPRO_BACKEND`` so ``--workers``
-subprocesses inherit it; estimates are bit-identical across backends
-(see docs/PERFORMANCE.md "Backends").
-
 Matrices are exchanged in scipy ``.npz`` sparse format
 (:func:`repro.matrix.io.save_matrix`).
 """
@@ -115,24 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
              "serial run)",
     )
 
-    # Shared kernel-backend flag; exported via $REPRO_BACKEND so worker
-    # processes inherit the selection (results are bit-identical across
-    # backends either way — see docs/PERFORMANCE.md "Backends").
-    backend_opts = argparse.ArgumentParser(add_help=False)
-    backend_opts.add_argument(
-        "--backend", metavar="NAME", default=None,
-        help="kernel backend for the estimation hot paths: numpy, numba, "
-             "python, or auto (default: $REPRO_BACKEND, else auto-detect; "
-             "an unavailable backend falls back to numpy with a warning)",
-    )
-
     commands.add_parser("info", help="show version, estimators, use cases")
 
     estimators_cmd = commands.add_parser(
         "estimators",
         help="list registered estimators with contract tags and router "
              "cost tiers",
-        parents=[backend_opts],
     )
     estimators_cmd.add_argument(
         "--format", choices=("table", "json"), default="table",
@@ -141,13 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sketch_cmd = commands.add_parser(
         "sketch", help="summarize a matrix's MNC sketch",
-        parents=[tracing, backend_opts]
+        parents=[tracing]
     )
     sketch_cmd.add_argument("matrix", help="path to a .npz sparse matrix")
 
     estimate_cmd = commands.add_parser(
         "estimate", help="estimate the sparsity of a product A @ B",
-        parents=[tracing, parallelism, backend_opts],
+        parents=[tracing, parallelism],
     )
     estimate_cmd.add_argument("left", help="path to A (.npz)")
     estimate_cmd.add_argument("right", help="path to B (.npz)")
@@ -173,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sparsest_cmd = commands.add_parser(
         "sparsest", help="run SparsEst use cases",
-        parents=[tracing, parallelism, backend_opts]
+        parents=[tracing, parallelism]
     )
     sparsest_cmd.add_argument(
         "--cases", default="",
@@ -193,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     optimize_cmd = commands.add_parser(
         "optimize", help="optimize a random matrix-product chain",
-        parents=[tracing, backend_opts],
+        parents=[tracing],
     )
     optimize_cmd.add_argument(
         "--dims", required=True,
@@ -207,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_cmd = commands.add_parser(
         "verify", help="fuzz estimator contracts against the exact oracle",
-        parents=[tracing, parallelism, backend_opts],
+        parents=[tracing, parallelism],
     )
     verify_cmd.add_argument(
         "--budget", type=int, default=100,
@@ -284,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_cmd = commands.add_parser(
         "serve", help="run the multi-tenant estimation server",
-        parents=[parallelism, backend_opts],
+        parents=[parallelism],
     )
     serve_cmd.add_argument(
         "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
@@ -334,18 +314,6 @@ def _maybe_record(estimator):
     return estimator
 
 
-def _backend_summary() -> str:
-    """One-line description of the active kernel backend."""
-    from repro import backends
-
-    backend = backends.get_backend()
-    kind = "compiled" if backend.compiled else "interpreted"
-    availability = ", ".join(
-        name for name, ok in backends.available_backends().items() if ok
-    )
-    return f"{backend.name} ({kind}; available: {availability})"
-
-
 def _cmd_info() -> int:
     import repro
     from repro.estimators import available_estimators
@@ -354,7 +322,6 @@ def _cmd_info() -> int:
     print(f"repro {repro.__version__} — MNC sparsity estimation")
     print(f"estimators: {', '.join(available_estimators())}")
     print(f"use cases:  {', '.join(use_case_ids())}")
-    print(f"backend:    {_backend_summary()}")
     return 0
 
 
@@ -370,19 +337,9 @@ def _cmd_estimators(output_format: str = "table") -> int:
 
     from repro.router import estimator_catalog
 
-    from repro import backends
-
     rows = estimator_catalog()
     if output_format == "json":
-        backend = backends.get_backend()
-        payload = {
-            "estimators": rows,
-            "backend": {
-                "name": backend.name,
-                "compiled": backend.compiled,
-                "available": backends.available_backends(),
-            },
-        }
+        payload = {"estimators": rows}
         print(json_module.dumps(payload, indent=2, sort_keys=True))
         return 0
     header = f"{'name':<14} {'label':<10} {'cost tier':>9}  tags"
@@ -394,7 +351,6 @@ def _cmd_estimators(output_format: str = "table") -> int:
               f"{', '.join(row['tags'])}")
     print(f"{'auto':<14} {'Auto':<10} {'adaptive':>9}  "
           f"routes across tiers until --tolerance is met")
-    print(f"kernel backend: {_backend_summary()}")
     return 0
 
 
@@ -707,17 +663,9 @@ def _cmd_stats(
 
     if output_format == "json":
         payload = _stats_json(data)
-        from repro import backends
-
-        backend = backends.get_backend()
-        payload["backend"] = {
-            "name": backend.name,
-            "compiled": backend.compiled,
-        }
         print(json_module.dumps(payload, indent=2, sort_keys=True))
         return 0
 
-    print(f"Kernel backend: {_backend_summary()}")
     empty = not (
         data.spans or data.counters or data.histograms or data.outcomes
         or data.residuals or (data.metrics is not None)
@@ -890,16 +838,8 @@ def _cmd_serve(
     from repro.parallel import WorkerPool, resolve_workers
     from repro.serve.server import EstimationServer
 
-    from repro import backends
-
     default = AUTO_NAME if tolerance is not None else "mnc"
     spec = EstimatorSpec.parse(estimator, tolerance=tolerance, default=default)
-    # Warm the kernel backend before accepting traffic so the first
-    # request never pays JIT compile time; the cost is recorded as the
-    # backend.jit_compile_seconds gauge (visible under GET /metrics).
-    # The report prints after the announce line — tooling reads the
-    # first stderr line for the listening URL.
-    warm_seconds = backends.warmup()
     spill_dir = None
     if catalog is not None:
         spill_dir = Path(catalog)
@@ -922,8 +862,9 @@ def _cmd_serve(
     server = EstimationServer(service=service, host=host, port=port)
     def _announce(h: str, p: int) -> None:
         print(f"repro serve: listening on http://{h}:{p}", file=sys.stderr)
-        print(f"backend: {backends.get_backend().name} kernels warm "
-              f"in {warm_seconds:.3f}s", file=sys.stderr)
+        # Boot tooling reads the first stderr line for the URL, then
+        # waits for this one.
+        print(f"backend: numpy {np.__version__}", file=sys.stderr)
 
     try:
         server.run(announce=_announce)
@@ -982,16 +923,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    backend_name = getattr(args, "backend", None)
-    if backend_name:
-        import os
-
-        from repro import backends
-
-        # Export through the environment (not just set_backend) so worker
-        # processes spawned by --workers inherit the same selection.
-        os.environ[backends.BACKEND_ENV] = backend_name
-        backends.set_backend(None)
     trace_path = getattr(args, "trace", None)
     flight_path = getattr(args, "flight_recorder", None)
     metrics_path = getattr(args, "metrics", None)

@@ -6,18 +6,15 @@ the lower/upper bounds of Theorem 3.2.
 
 Hot-path notes (docs/PERFORMANCE.md): the drivers read the sketches'
 cached float64 count views (``hr_f64``/``hc_f64``), evaluate the
-density-map fallback in reused scratch buffers, dispatch the inner
-loops through :func:`repro.backends.get_backend` (numpy reference or
-numba-compiled kernels, bit-identical by contract), and only enter a
-tracing span when a collector is listening — the estimates are the
-same under every combination.
+density-map fallback with plain numpy ufuncs in a reused scratch buffer,
+and only enter a tracing span when a collector is listening — the
+estimates are the same either way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import get_backend
 from repro.core.scratch import ScratchBuffer
 from repro.core.sketch import MNCSketch
 from repro.errors import ShapeError
@@ -65,18 +62,18 @@ def density_map_vector_estimate(
     v_b = np.asarray(v_b, dtype=np.float64)
     if v_a.size == 0:
         return float(cells) * float(-np.expm1(0.0))
-    backend = get_backend()
     collision = _DM_SCRATCH.get(v_a.size)
-    # The fused kernel multiplies by the negated reciprocal (one multiply
-    # replaces the divide and the negation pass; ``x * (-r) == -(x * r)``
-    # exactly in IEEE 754). Counts are non-negative, so the per-slice
-    # probabilities only need the upper clamp — and any slice at
-    # probability >= 1 saturates the whole estimate, which the kernel
-    # reports as the early-return flag.
-    if backend.dm_collision_log1p(v_a, v_b, -1.0 / cells, collision):
+    # Multiplying by the negated reciprocal replaces the divide and the
+    # negation pass (``x * (-r) == -(x * r)`` exactly in IEEE 754). Counts
+    # are non-negative, so the per-slice probabilities only need the upper
+    # clamp — and any slice at probability >= 1 saturates the whole
+    # estimate.
+    np.multiply(v_a, v_b, out=collision)
+    np.multiply(collision, -1.0 / cells, out=collision)
+    if collision.min() <= -1.0:
         return float(cells)
-    log_all_zero = backend.tree_sum(collision)
-    return float(cells) * float(-np.expm1(log_all_zero))
+    np.log1p(collision, out=collision)
+    return float(cells) * float(-np.expm1(float(collision.sum())))
 
 
 def product_nnz_upper_bound(h_a: MNCSketch, h_b: MNCSketch) -> int:
@@ -103,7 +100,6 @@ def product_nnz_lower_bound(h_a: MNCSketch, h_b: MNCSketch) -> int:
 def _estimate_product_nnz_impl(
     h_a: MNCSketch, h_b: MNCSketch, use_extensions: bool, use_bounds: bool
 ) -> float:
-    backend = get_backend()
     m = h_a.shape[0]
     l = h_b.shape[1]
     hc_a = h_a.hc_f64
@@ -115,7 +111,7 @@ def _estimate_product_nnz_impl(
     her_b_arr = h_b.her
     if max_hr_a <= 1 or max_hc_b <= 1:
         # Theorem 3.1: exact.
-        nnz = backend.dot(hc_a, hr_b)
+        nnz = float(hc_a @ hr_b)
     elif use_extensions and (hec_a_arr is not None or her_b_arr is not None):
         # A missing extension vector is all-zero: its residual IS the count
         # vector and its exact-part dot product is zero, so each side only
@@ -124,15 +120,15 @@ def _estimate_product_nnz_impl(
         if hec_a_arr is not None:
             hec_a = h_a.hec_f64_or_zeros()
             resid_a = _RESID_A_SCRATCH.get(hc_a.size)
-            backend.subtract(hc_a, hec_a, resid_a)
-            exact_part += backend.dot(hec_a, hr_b)
+            np.subtract(hc_a, hec_a, out=resid_a)
+            exact_part += float(hec_a @ hr_b)
         else:
             resid_a = hc_a
         if her_b_arr is not None:
             her_b = h_b.her_f64_or_zeros()
             resid_b = _RESID_B_SCRATCH.get(hr_b.size)
-            backend.subtract(hr_b, her_b, resid_b)
-            exact_part += backend.dot(resid_a, her_b)
+            np.subtract(hr_b, her_b, out=resid_b)
+            exact_part += float(resid_a @ her_b)
         else:
             resid_b = hr_b
         if use_bounds:

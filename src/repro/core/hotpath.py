@@ -6,10 +6,10 @@ optimizer invocation, so its bookkeeping must cost next to nothing. This
 module keeps two things:
 
 - :data:`HOTPATH` — process-local integer counters (trusted constructions,
-  validated constructions, lazily materialized summaries, scratch-buffer
-  reuses, cached zero-vector hits). Incrementing a slot attribute is a few
-  tens of nanoseconds and needs no lock for the CPython-atomic += on ints
-  we rely on; the counters are mirrored into the active trace collector as
+  validated constructions, lazily materialized summaries, cached
+  zero-vector hits). Incrementing a slot attribute is a few tens of
+  nanoseconds and needs no lock for the CPython-atomic += on ints we rely
+  on; the counters are mirrored into the active trace collector as
   ``hotpath.*`` counters *only when one is listening*, so ``repro stats``
   surfaces them for traced runs while untraced runs pay a single attribute
   check.
@@ -32,7 +32,6 @@ _FIELDS = (
     "trusted_constructions",
     "validated_constructions",
     "summaries_materialized",
-    "scratch_reuses",
     "zero_vector_hits",
 )
 
@@ -81,14 +80,6 @@ def record_summary_materialization() -> None:
     collector = get_collector()
     if collector.enabled:
         collector.increment("hotpath.summaries_materialized")
-
-
-def record_scratch_reuse() -> None:
-    """Count one kernel call served from a reused scratch buffer."""
-    HOTPATH.scratch_reuses += 1
-    collector = get_collector()
-    if collector.enabled:
-        collector.increment("hotpath.scratch_reuses")
 
 
 def record_zero_vector_hit() -> None:

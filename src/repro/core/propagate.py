@@ -9,27 +9,25 @@ diagonal and square, the other operand's sketch is propagated unchanged
 
 Hot-path notes (docs/PERFORMANCE.md): derived sketches are built through
 the trusted tier (:meth:`MNCSketch.trusted` — scaling and reconciliation
-re-establish every invariant by construction), Eq 11 scale-and-round and
-the bulk reconciliation rounds dispatch through
-:func:`repro.backends.get_backend` with the rounding draws threaded in
-from the caller's generator, and tracing spans are entered only when a
-collector listens.
+re-establish every invariant by construction), Eq 11 scale-and-round runs
+in scratch with the rounding draws taken from the caller's generator, the
+deterministic reconciliation rounds are applied in closed form, and
+tracing spans are entered only when a collector listens.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import get_backend
 from repro.core.estimate import estimate_product_nnz
-from repro.core.rounding import SeedLike, resolve_rng
+from repro.core.rounding import SeedLike, resolve_rng, scale_round_into
 from repro.core.scratch import ScratchBuffer
 from repro.core.sketch import MNCSketch
 from repro.errors import ShapeError
 from repro.observability.trace import trace, tracing_enabled
 
 #: Scratch for the Eq 11 rounding draws (one per call site; the scale
-#: itself is fused into the backend's ``scale_round_into`` primitive).
+#: itself runs in ``scale_round_into``'s own scratch).
 _SCALE_DRAW_SCRATCH = ScratchBuffer(np.float64)
 
 
@@ -58,11 +56,11 @@ def scale_histogram(
     n = histogram.size
     # Draws come from the caller's generator exactly as the unfused
     # scale-then-round formulation consumed them (one uniform per entry),
-    # so fusing the multiply into the backend changes no rounding decision.
+    # so fusing the multiply into the rounding changes no rounding decision.
     draws = _SCALE_DRAW_SCRATCH.get(n)
     generator.random(out=draws)
     result = np.empty(n, dtype=np.int64)
-    get_backend().scale_round_into(
+    scale_round_into(
         histogram, float(target_total) / current_total, draws, int(maximum), result
     )
     return result
@@ -161,14 +159,45 @@ def _reconcile_totals(
     # one, repeat) degenerates to an O(diff) loop when Eq 11's per-entry cap
     # truncated the two histograms by very different amounts. The full
     # rounds are deterministic — a round that touches *every* positive entry
-    # needs no random choice — so the backend applies them in bulk: after
-    # ``r`` rounds each entry holds ``max(v - r, 0)`` and ``sum(min(v, r))``
-    # units are gone; it binary-searches the largest such ``r``, subtracts
-    # it in place, and reports the leftovers. Only the final partial round
-    # draws randomness, and it stays here in the driver so every backend
-    # consumes the generator identically.
-    remaining = get_backend().reconcile_bulk(target, remaining)
+    # needs no random choice — so reconcile_bulk applies them at once.
+    # Only the final partial round draws randomness.
+    remaining = reconcile_bulk(target, remaining)
     if remaining > 0:
         positive = np.flatnonzero(target > 0)
         chosen = rng.choice(positive, size=remaining, replace=False)
         target[chosen] -= 1
+
+
+def reconcile_bulk(target: np.ndarray, remaining: int) -> int:
+    """Apply the deterministic full rounds of :func:`_reconcile_totals`.
+
+    After ``r`` full rounds each entry of the int64 *target* holds
+    ``max(v - r, 0)`` and ``f(r) = sum(min(v, r))`` units are gone. This
+    finds the largest ``r`` with ``f(r) <= remaining`` in closed form,
+    applies it in place, and returns the units still to remove.
+
+    ``f`` is piecewise linear with knots at the sorted positive values
+    ``s_0 <= ... <= s_{n-1}``: ``f(s_i) = C_i + s_i * (n - 1 - i)`` with
+    ``C`` their running sum. If the first ``k`` knots fit, ``r`` lies in
+    ``[s_{k-1}, s_k)`` where ``f(r) = C_{k-1} + r * (n - k)``. Everything
+    is integer arithmetic, so the result is exact.
+    """
+    values = np.sort(target[target > 0])
+    n = values.size
+    if n == 0:
+        return int(remaining)
+    cumsum = np.cumsum(values)
+    knots = cumsum + values * np.arange(n - 1, -1, -1)
+    k = int(np.searchsorted(knots, remaining, side="right"))
+    if k == n:
+        rounds = int(values[-1])
+        removed = int(cumsum[-1])
+    else:
+        below = int(cumsum[k - 1]) if k else 0
+        rounds = (int(remaining) - below) // (n - k)
+        removed = below + rounds * (n - k)
+    if rounds > 0:
+        remaining -= removed
+        np.subtract(target, rounds, out=target)
+        np.maximum(target, 0, out=target)
+    return int(remaining)

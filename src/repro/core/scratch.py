@@ -26,9 +26,6 @@ import threading
 
 import numpy as np
 
-from repro.core.hotpath import HOTPATH
-from repro.observability.collector import get_collector
-
 _MIN_CAPACITY = 256
 
 
@@ -50,11 +47,4 @@ class ScratchBuffer(threading.local):
             if buf is not None:
                 capacity = max(capacity, 2 * buf.size)
             self._buf = buf = np.empty(capacity, dtype=self._dtype)
-        else:
-            # record_scratch_reuse() inlined: get() runs several times per
-            # estimate and the extra call layer is measurable there.
-            HOTPATH.scratch_reuses += 1
-            collector = get_collector()
-            if collector.enabled:
-                collector.increment("hotpath.scratch_reuses")
         return buf[:length]

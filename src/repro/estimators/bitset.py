@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.backends import get_backend
 from repro.errors import ShapeError
 from repro.estimators.base import SparsityEstimator, Synopsis, register_estimator
 from repro.matrix import ops as mops
@@ -35,7 +34,7 @@ class BitsetSynopsis(Synopsis):
     def __init__(self, shape: tuple[int, int], bits: np.ndarray):
         self._shape = (int(shape[0]), int(shape[1]))
         self._bits = bits
-        self._nnz = get_backend().popcount_sum(bits)
+        self._nnz = int(np.bitwise_count(bits).sum())
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -119,20 +118,21 @@ class BitsetEstimator(SparsityEstimator):
         out_words = b.bits.shape[1]
         out = np.zeros((m, out_words), dtype=np.uint8)
         b_bits = b.bits
-        backend = get_backend()
         for start in range(0, m, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, m)
             block = a.to_bool_rows(start, stop)
-            if self.kernel == "vectorized":
-                backend.bitset_block_or(block, b_bits, out, start)
-            else:
-                for offset in range(stop - start):
-                    k_indices = np.flatnonzero(block[offset])
-                    if k_indices.size == 0:
-                        continue
-                    accumulator = out[start + offset]
-                    for k in k_indices:
-                        np.bitwise_or(accumulator, b_bits[k], out=accumulator)
+            for offset in range(stop - start):
+                k_indices = np.flatnonzero(block[offset])
+                if k_indices.size == 0:
+                    continue
+                if self.kernel == "vectorized":
+                    out[start + offset] = np.bitwise_or.reduce(
+                        b_bits[k_indices], axis=0
+                    )
+                    continue
+                accumulator = out[start + offset]
+                for k in k_indices:
+                    np.bitwise_or(accumulator, b_bits[k], out=accumulator)
         return BitsetSynopsis((m, l), out)
 
     def _estimate_matmul(self, a: BitsetSynopsis, b: BitsetSynopsis) -> float:
@@ -239,4 +239,7 @@ class BitsetEstimator(SparsityEstimator):
         # Exact from the packed bits, mirroring the row-sums twin: a column
         # is non-empty iff its bit survives an OR over all rows. Padding
         # bits beyond column n are zero in every row, so they stay zero.
-        return float(get_backend().or_popcount(a.bits))
+        if a.bits.shape[0] == 0:
+            return 0.0
+        merged = np.bitwise_or.reduce(a.bits, axis=0)
+        return float(np.bitwise_count(merged).sum())

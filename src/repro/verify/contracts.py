@@ -31,8 +31,6 @@ Contract id              Applies to (tag)       Invariant
                                                 bit-identical
 ``incremental_equals_rebuild`` ``sketch``       sketch patched by seeded
                                                 deltas == from-scratch rebuild
-``backends_agree``       everyone               every kernel backend returns
-                                                the byte-identical estimate
 =======================  =====================  ==============================
 """
 
@@ -665,41 +663,4 @@ register_contract(Contract(
     paper_ref="Section 3.1 applied online (see docs/STREAMING.md)",
     applies=_applies_incremental,
     check=_check_incremental,
-))
-
-
-def _applies_backends_agree(spec: EstimatorSpec, case: Case) -> bool:
-    # One extra full evaluation per participating backend; sub-sample the
-    # stream like the determinism contract to keep the default budget fast.
-    return case.index % 3 == 1 and case_supported(spec.make(), case)
-
-
-def _check_backends_agree(spec: EstimatorSpec, case: Case) -> Optional[str]:
-    from repro import backends
-
-    reference = None
-    names = ["numpy", "python"]
-    if backends.numba_importable():
-        names.append("numba")
-    for name in names:
-        with backends.use_backend(name):
-            estimate = estimate_case(spec.make(), case)
-        if reference is None:
-            reference = (name, estimate)
-        elif estimate != reference[1] and not (
-            np.isnan(estimate) and np.isnan(reference[1])
-        ):
-            return (f"backend {name!r} estimates {estimate!r} but "
-                    f"{reference[0]!r} estimates {reference[1]!r} "
-                    f"(bit-identity contract)")
-    return None
-
-
-register_contract(Contract(
-    id="backends_agree",
-    description="every kernel backend produces the byte-identical estimate",
-    paper_ref="implementation requirement (multi-backend dispatch, "
-              "docs/PERFORMANCE.md)",
-    applies=_applies_backends_agree,
-    check=_check_backends_agree,
 ))

@@ -223,85 +223,3 @@ class TestKernelFixes:
         dense = np.ones((4, 13))  # 13 columns: 3 padding bits in last byte
         synopsis = pack_matrix(dense)
         assert BitsetEstimator()._estimate_col_sums(synopsis) == 13.0
-
-
-def _backend_names():
-    """Kernel backends to hold against the numpy reference.
-
-    The plain-Python debug backend always participates (it runs the exact
-    numba kernel definitions under the interpreter); the compiled numba
-    backend joins automatically when numba is installed, which is how the
-    CI ``backends`` job gets its compiled-leg coverage.
-    """
-    from repro import backends
-
-    names = ["python"]
-    if backends.numba_importable():
-        names.append("numba")
-    return names
-
-
-class TestBackendEquivalence:
-    """numpy reference vs kernel backends: byte-identical, per contract.
-
-    Same zoo, same seeds as the tier equivalence tests above — every
-    estimate and every propagated sketch must agree bit-for-bit across
-    backends (docs/PERFORMANCE.md "Backends").
-    """
-
-    @pytest.mark.parametrize("backend_name", _backend_names())
-    @pytest.mark.parametrize("case", list(_zoo_cases()), ids=_case_ids())
-    def test_zoo_estimates_bitwise_equal(self, backend_name, case):
-        from repro import backends
-
-        with backends.use_backend("numpy"):
-            reference = estimate_root_nnz(case.root, MNCEstimator(seed=SEED))
-        with backends.use_backend(backend_name):
-            kernel = estimate_root_nnz(case.root, MNCEstimator(seed=SEED))
-        assert reference == kernel  # exact, not approx
-
-    @pytest.mark.parametrize("backend_name", _backend_names())
-    @pytest.mark.parametrize("seed", range(4))
-    def test_propagated_sketch_bytes_equal(self, backend_name, seed):
-        from repro import backends
-        from repro.core.propagate import propagate_product
-
-        h_a = MNCSketch.from_matrix(random_sparse(48, 36, 0.12, seed=seed))
-        h_b = MNCSketch.from_matrix(random_sparse(36, 44, 0.18, seed=seed + 100))
-        with backends.use_backend("numpy"):
-            reference = propagate_product(h_a, h_b, rng=seed)
-        with backends.use_backend(backend_name):
-            kernel = propagate_product(h_a, h_b, rng=seed)
-        a = sketch_to_arrays(reference)
-        b = sketch_to_arrays(kernel)
-        assert a.keys() == b.keys()
-        for key in a:
-            assert a[key].tobytes() == b[key].tobytes(), key
-
-    @pytest.mark.parametrize("backend_name", _backend_names())
-    def test_chain_dp_workers_and_backends_agree(self, backend_name):
-        """Chain DP: same plan and cost at workers=1 and workers=4, under
-        the numpy reference and every kernel backend."""
-        from repro import backends
-        from repro.optimizer import optimize_chain_sparse, plan_to_string
-
-        rng = np.random.default_rng(17)
-        dims = [30, 20, 25, 15, 35, 10]
-        sketches = [
-            MNCSketch.synthetic(m, n, 0.15, rng)
-            for m, n in zip(dims, dims[1:])
-        ]
-        outcomes = {}
-        for name in ("numpy", backend_name):
-            for workers in (1, 4):
-                with backends.use_backend(name):
-                    solution = optimize_chain_sparse(
-                        sketches, rng=np.random.default_rng(3), workers=workers
-                    )
-                outcomes[(name, workers)] = (
-                    plan_to_string(solution.plan), solution.cost
-                )
-        # Serial and parallel consume the rng differently (documented), so
-        # compare across backends within each worker count.
-        assert outcomes[("numpy", 1)] == outcomes[(backend_name, 1)]
-        assert outcomes[("numpy", 4)] == outcomes[(backend_name, 4)]

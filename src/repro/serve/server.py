@@ -5,14 +5,15 @@ One process serves many tenants' estimation traffic over a shared catalog:
 - the **event loop** owns connections: a handwritten, keep-alive HTTP/1.1
   reader/writer (request line, headers, ``Content-Length`` body — the
   subset a JSON API needs, implemented in ~60 lines rather than imported);
-- all estimation work runs on a dedicated **single-thread executor**, so
-  the loop never blocks and — more importantly — cold estimates issue
-  sequentially in arrival order. That is the determinism contract: the MNC
-  estimator consumes instance-local randomness per estimate, so a serial
-  issue order makes server answers bit-identical to calling
-  :meth:`EstimationService.submit` directly in the same order (the serving
-  benchmark asserts exactly this); parallelism inside one batch still fans
-  out over :mod:`repro.parallel` worker processes;
+- every request runs to completion **on the loop thread** in arrival
+  order (no ``await`` between reading a request and answering it). That
+  is the determinism contract: the MNC estimator consumes instance-local
+  randomness per estimate, so a serial issue order makes server answers
+  bit-identical to calling :meth:`EstimationService.submit` directly in
+  the same order (the serving benchmark asserts exactly this); batches
+  still fan out over :mod:`repro.parallel` worker processes. The price:
+  ``/healthz``, ``/metrics`` and ``/stats`` wait behind an in-flight
+  estimate;
 - a bounded **expression parse cache** keyed on canonical wire JSON hands
   repeated queries the same :class:`Expr` object, so the warm path runs
   entirely on memo hits (microseconds per estimate).
@@ -33,7 +34,6 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -61,6 +61,8 @@ DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8642
 #: Upper bound on request bodies; larger payloads get a 413.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Header lines per request; more get a 431, as does a line over 64 KiB.
+MAX_HEADER_LINES = 100
 #: Parsed-expression cache entries (wire JSON -> Expr).
 PARSE_CACHE_ENTRIES = 4096
 
@@ -72,6 +74,7 @@ _STATUS_LINES = {
     404: "404 Not Found",
     405: "405 Method Not Allowed",
     413: "413 Payload Too Large",
+    431: "431 Request Header Fields Too Large",
     500: "500 Internal Server Error",
 }
 
@@ -109,12 +112,7 @@ class EstimationServer:
         self.port = port
         self.max_body_bytes = int(max_body_bytes)
         self._server: Optional[asyncio.AbstractServer] = None
-        # Single thread == sequential estimation == deterministic rng
-        # consumption (see module docstring). Do not widen casually.
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-estimate"
-        )
-        self._parse_lock = threading.Lock()
+        # Only the loop thread touches this (see module docstring).
         self._parse_cache: "OrderedDict[str, Expr]" = OrderedDict()
         self._started = time.time()
 
@@ -152,7 +150,6 @@ class EstimationServer:
             self.close()
 
     def close(self) -> None:
-        self._executor.shutdown(wait=False, cancel_futures=True)
         if self.service.pool is not None:
             self.service.pool.close()
 
@@ -179,7 +176,7 @@ class EstimationServer:
                     break
                 method, path, headers, body = request
                 keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-                status, payload, content_type = await self._dispatch(method, path, body)
+                status, payload, content_type = self._dispatch(method, path, body)
                 writer.write(_render_response(status, payload, content_type, keep_alive))
                 await writer.drain()
                 if not keep_alive:
@@ -188,7 +185,6 @@ class EstimationServer:
             asyncio.IncompleteReadError,
             ConnectionResetError,
             BrokenPipeError,
-            asyncio.LimitOverrunError,
         ):
             pass  # client went away mid-request; nothing to answer
         except asyncio.CancelledError:
@@ -211,7 +207,7 @@ class EstimationServer:
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
         """Parse one HTTP/1.1 request; ``None`` on clean connection close."""
-        request_line = await reader.readline()
+        request_line = await _read_line(reader)
         if not request_line:
             return None
         parts = request_line.decode("latin-1").strip().split(" ")
@@ -219,29 +215,33 @@ class EstimationServer:
             raise _HttpError(400, "malformed request line")
         method, target = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
+        for _ in range(MAX_HEADER_LINES + 1):
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            raise _HttpError(431, f"more than {MAX_HEADER_LINES} header lines")
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
-            raise _HttpError(400, "malformed Content-Length") from None
+            length = -1
+        if length < 0:
+            raise _HttpError(400, "malformed Content-Length")
         if length > self.max_body_bytes:
             raise _HttpError(413, f"request body exceeds {self.max_body_bytes} bytes")
         body = await reader.readexactly(length) if length else b""
         path = target.split("?", 1)[0]
         return method, path, headers, body
 
-    async def _dispatch(
+    def _dispatch(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, bytes, str]:
         route = _route_name(method, path)
         started = time.perf_counter()
         try:
-            status, payload, content_type = await self._route(method, path, body)
+            status, payload, content_type = self._route(method, path, body)
         except _HttpError as exc:
             status = exc.status
             payload = _json_bytes({"error": exc.message})
@@ -269,7 +269,7 @@ class EstimationServer:
             count(f"serve.errors.{status}")
         return status, payload, content_type
 
-    async def _route(
+    def _route(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, bytes, str]:
         if path == "/healthz":
@@ -287,30 +287,23 @@ class EstimationServer:
         if path == "/matrices":
             if method != "POST":
                 raise _HttpError(405, "use POST /matrices")
-            payload = await self._in_executor(self._handle_register, _parse_json(body))
+            payload = self._handle_register(_parse_json(body))
             return 200, _json_bytes(payload), _JSON
         if path == "/estimate":
             if method != "POST":
                 raise _HttpError(405, "use POST /estimate")
-            payload = await self._in_executor(self._handle_estimate, _parse_json(body))
+            payload = self._handle_estimate(_parse_json(body))
             return 200, _json_bytes(payload), _JSON
         name = _update_target(path)
         if name is not None:
             if method != "POST":
                 raise _HttpError(405, f"use POST /matrices/{name}/updates")
-            payload = await self._in_executor(
-                self._handle_update, name, _parse_json(body)
-            )
+            payload = self._handle_update(name, _parse_json(body))
             return 200, _json_bytes(payload), _JSON
         raise _HttpError(404, f"unknown path {path!r}")
 
-    async def _in_executor(self, fn, *args) -> Any:
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, fn, *args
-        )
-
     # ------------------------------------------------------------------
-    # Handlers (run on the estimation thread)
+    # Handlers (run on the loop thread)
     # ------------------------------------------------------------------
 
     def _handle_register(self, body: Dict[str, Any]) -> Dict[str, Any]:
@@ -319,8 +312,7 @@ class EstimationServer:
         # Cached parses hold leaf Expr objects; a (re)bind would leave them
         # pointing at the name's old matrix. Registration is rare relative
         # to estimation, so flushing the whole cache is the simple safe move.
-        with self._parse_lock:
-            self._parse_cache.clear()
+        self._parse_cache.clear()
         if "matrix" in request:
             matrix = decode_matrix(request["matrix"])
             fingerprint = self.registry.register(name, matrix)
@@ -382,8 +374,7 @@ class EstimationServer:
         deltas = decode_update_request(body)
         # Same reasoning as registration: cached parses hold the name's old
         # leaf Expr, which after a delta points at the pre-update structure.
-        with self._parse_lock:
-            self._parse_cache.clear()
+        self._parse_cache.clear()
         fingerprint = self.registry.fingerprint(name)
         for delta in deltas:
             fingerprint = self.registry.apply_update(name, delta)
@@ -398,18 +389,15 @@ class EstimationServer:
 
     def _parse_expr(self, wire: Any) -> Expr:
         key = canonical_expr_key(wire)
-        with self._parse_lock:
-            cached = self._parse_cache.get(key)
-            if cached is not None:
-                self._parse_cache.move_to_end(key)
-                count("serve.parse_cache.hit")
-                return cached
-        expr = decode_expr(wire, self.registry.resolve)
-        with self._parse_lock:
-            self._parse_cache[key] = expr
+        cached = self._parse_cache.get(key)
+        if cached is not None:
             self._parse_cache.move_to_end(key)
-            while len(self._parse_cache) > PARSE_CACHE_ENTRIES:
-                self._parse_cache.popitem(last=False)
+            count("serve.parse_cache.hit")
+            return cached
+        expr = decode_expr(wire, self.registry.resolve)
+        self._parse_cache[key] = expr
+        while len(self._parse_cache) > PARSE_CACHE_ENTRIES:
+            self._parse_cache.popitem(last=False)
         count("serve.parse_cache.miss")
         return expr
 
@@ -430,6 +418,15 @@ class EstimationServer:
 # ----------------------------------------------------------------------
 # Wire helpers
 # ----------------------------------------------------------------------
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One head line. ``readline`` reports a line over the stream limit as
+    ``ValueError`` (not ``LimitOverrunError``); that is a 431."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _HttpError(431, "request line or header line too long") from None
+
 
 def _route_name(method: str, path: str) -> str:
     known = {"/matrices", "/estimate", "/stats", "/metrics", "/healthz"}

@@ -5,6 +5,8 @@ talks to it over actual HTTP via :class:`ServeClient` — the same transport
 the CI smoke job and the serving benchmark use.
 """
 
+import asyncio
+import socket
 import threading
 
 import numpy as np
@@ -455,3 +457,126 @@ class TestStreamingUpdates:
         reply = client.apply_update("X", AppendRows([np.array([1])]))
         assert reply["shape"] == [51, 40]
         assert reply["nnz"] == x.nnz + 1
+
+
+class TestExecutionModel:
+    """Every request runs on the event-loop thread; there is no second
+    estimation thread to hop to."""
+
+    def test_handlers_run_on_loop_thread(self, monkeypatch):
+        from repro.core.incremental import AppendRows
+
+        seen = []
+        for attribute in ("_handle_register", "_handle_estimate", "_handle_update"):
+            original = getattr(EstimationServer, attribute)
+
+            def recording(self, *args, _original=original, _name=attribute):
+                seen.append((_name, threading.get_ident()))
+                return _original(self, *args)
+
+            monkeypatch.setattr(EstimationServer, attribute, recording)
+
+        async def loop_ident():
+            return threading.get_ident()
+
+        x, w = _matrices()
+        with start_server_thread(EstimationServer(port=0)) as handle:
+            loop_thread = asyncio.run_coroutine_threadsafe(
+                loop_ident(), handle._loop
+            ).result(timeout=10)
+            with ServeClient(handle.host, handle.port) as client:
+                client.register("X", x)
+                client.register("W", w)
+                client.estimate(MATMUL_XW)
+                client.estimate_batch([MATMUL_XW, {"ref": "X"}])
+                client.optimize_chain(["X", "W"], seed=1)
+                client.apply_update("X", AppendRows([np.array([0, 1])]))
+                client.estimate(MATMUL_XW)
+        assert loop_thread != threading.get_ident()
+        assert {name for name, _ in seen} == {
+            "_handle_register", "_handle_estimate", "_handle_update"
+        }
+        assert {ident for _, ident in seen} == {loop_thread}
+
+    def test_no_estimation_thread(self, server):
+        client, _ = server
+        x, w = _matrices()
+        client.register("X", x)
+        client.register("W", w)
+        client.estimate(MATMUL_XW)
+        client.estimate(MATMUL_XW)
+        names = [thread.name for thread in threading.enumerate()]
+        assert not [name for name in names if name.startswith("repro-serve-estimate")]
+
+
+def _raw_status_line(host, port, request: bytes) -> str:
+    """Send *request* on a fresh socket; return the response's status line."""
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(request)
+        received = b""
+        while b"\r\n" not in received:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            received += chunk
+    return received.split(b"\r\n", 1)[0].decode("latin-1")
+
+
+class TestHostileHeads:
+    """A request head the server refuses gets a 4xx and a closed
+    connection, never a silent drop; the server keeps answering."""
+
+    @staticmethod
+    def _assert_still_serving(client):
+        fresh = ServeClient(client.host, client.port)
+        try:
+            assert fresh.healthz()["status"] == "ok"
+        finally:
+            fresh.close()
+
+    def test_overlong_header_line_431(self, server):
+        client, _ = server
+        request = (
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Big: "
+            + b"a" * 70_000 + b"\r\n\r\n"
+        )
+        status = _raw_status_line(client.host, client.port, request)
+        assert status == "HTTP/1.1 431 Request Header Fields Too Large"
+        self._assert_still_serving(client)
+
+    def test_overlong_request_line_431(self, server):
+        client, _ = server
+        request = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: x\r\n\r\n"
+        status = _raw_status_line(client.host, client.port, request)
+        assert status == "HTTP/1.1 431 Request Header Fields Too Large"
+        self._assert_still_serving(client)
+
+    def test_too_many_header_lines_431(self, server):
+        from repro.serve.server import MAX_HEADER_LINES
+
+        client, _ = server
+        # One repeated name: lines are counted, not distinct headers.
+        lines = b"X-Same: v\r\n" * (MAX_HEADER_LINES + 1)
+        request = b"GET /healthz HTTP/1.1\r\n" + lines + b"\r\n"
+        status = _raw_status_line(client.host, client.port, request)
+        assert status == "HTTP/1.1 431 Request Header Fields Too Large"
+        self._assert_still_serving(client)
+
+    def test_header_line_limit_is_inclusive(self, server):
+        from repro.serve.server import MAX_HEADER_LINES
+
+        client, _ = server
+        lines = b"".join(b"X-H%d: v\r\n" % i for i in range(MAX_HEADER_LINES))
+        request = b"GET /healthz HTTP/1.1\r\n" + lines + b"\r\n"
+        status = _raw_status_line(client.host, client.port, request)
+        assert status == "HTTP/1.1 200 OK"
+
+    def test_negative_content_length_400(self, server):
+        client, _ = server
+        request = (
+            b"POST /estimate HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\nContent-Length: -5\r\n\r\n"
+        )
+        status = _raw_status_line(client.host, client.port, request)
+        assert status == "HTTP/1.1 400 Bad Request"
+        self._assert_still_serving(client)

@@ -218,10 +218,15 @@ def run_hotpath_benchmark(scale: float | None = None) -> dict:
     }
 
     try:
-        from repro.core.hotpath import HOTPATH
-        payload["hotpath_counters"] = HOTPATH.snapshot()
+        from repro.observability.metrics import metrics_snapshot
     except ImportError:  # pragma: no cover - pre-overhaul checkouts
         pass
+    else:
+        payload["hotpath_counters"] = {
+            name[len("hotpath."):]: int(value)
+            for name, value in sorted(metrics_snapshot().counters.items())
+            if name.startswith("hotpath.")
+        }
 
     pre_pr = _load_pre_pr(scale)
     if pre_pr is not None:

@@ -1,13 +1,13 @@
 """Metrics-overhead benchmark: the observability layer must stay off the
 hot path.
 
-PR 6 routed every ``count()``/``observe()`` call and the accuracy residual
-ledger through the process-wide :mod:`repro.observability.metrics`
-registry. The hot-path kernels (Algorithm 1, propagation, the chain DP)
-deliberately guard their telemetry behind ``tracing_enabled()`` and raw
-``HOTPATH`` slot increments, so the *disabled* path — tracing off, flight
-recorder disarmed — must cost essentially nothing. This module checks
-that claim two ways:
+Every ``count()``/``observe()`` call and the accuracy residual ledger go
+to the process-wide :mod:`repro.observability.metrics` registry. The
+hot-path kernels (Algorithm 1, propagation, the chain DP) deliberately
+guard their telemetry behind ``tracing_enabled()`` and the registry's
+unlocked ``METRICS.hotpath`` integer slots, so the *disabled* path —
+tracing off, flight recorder disarmed — must cost essentially nothing.
+This module checks that claim two ways:
 
 1. **End-to-end**: re-run the key ``bench_hotpath`` kernels with the
    metrics layer in its default (disabled-tracing) state and compare each
@@ -19,8 +19,8 @@ that claim two ways:
    the lenient ``REPRO_PERF_TOLERANCE`` bound applies (cross-machine
    timings are noisy, so CI pins the scale and enforces on one runner).
 2. **Microbenchmarks**: per-call cost of the observability primitives in
-   both states — a disabled ``timed_span``, an always-on ``metric_inc`` /
-   ``metric_observe``, a ``record_residual`` — so a future regression
+   both states — a disabled ``timed_span``, an always-on ``count`` /
+   ``observe``, a ``record_residual`` — so a future regression
    shows up as nanoseconds, not as a diffuse end-to-end slowdown.
 
 Results land in ``benchmarks/results/BENCH_metrics.json``. Runs
@@ -76,12 +76,8 @@ def _time_per_call(fn, *, calls: int = 20000, rounds: int = 5) -> float:
 def _primitive_costs() -> dict:
     """Per-call cost (seconds) of each observability primitive."""
     from repro.observability import FLIGHT, RecordingCollector, using_collector
-    from repro.observability.metrics import (
-        metric_inc,
-        metric_observe,
-        record_residual,
-    )
-    from repro.observability.trace import count, timed_span, tracing_enabled
+    from repro.observability.metrics import count, observe, record_residual
+    from repro.observability.trace import timed_span, tracing_enabled
 
     costs: dict = {}
 
@@ -99,13 +95,8 @@ def _primitive_costs() -> dict:
     flight_was_enabled = FLIGHT.enabled
     FLIGHT.enabled = False  # isolate the registry cost from the ring append
     try:
-        costs["metric_inc"] = _time_per_call(lambda: metric_inc("bench.inc"))
-        costs["metric_observe"] = _time_per_call(
-            lambda: metric_observe("bench.obs", 0.5)
-        )
-        costs["count_disabled_tracing"] = _time_per_call(
-            lambda: count("bench.count")
-        )
+        costs["count"] = _time_per_call(lambda: count("bench.count"))
+        costs["observe"] = _time_per_call(lambda: observe("bench.obs", 0.5))
         costs["record_residual"] = _time_per_call(
             lambda: record_residual(
                 source="bench", estimator="noop", workload="w", op="op",
@@ -124,9 +115,6 @@ def _primitive_costs() -> dict:
                 pass
 
         costs["timed_span_enabled"] = _time_per_call(enabled_span, calls=5000)
-        costs["count_enabled_tracing"] = _time_per_call(
-            lambda: count("bench.count"), calls=5000
-        )
     return costs
 
 

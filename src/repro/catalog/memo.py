@@ -36,8 +36,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
 
-from repro.observability.metrics import metric_set
-from repro.observability.trace import count
+from repro.observability.metrics import count, metric_set
 
 #: Default entry bound; estimates are tiny, so this is ~megabytes.
 DEFAULT_MAX_ENTRIES = 65536

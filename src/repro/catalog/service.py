@@ -51,7 +51,8 @@ from repro.estimators.spec import AUTO_NAME, EstimatorSpec
 from repro.ir.nodes import Expr
 from repro.matrix.conversion import MatrixLike
 from repro.observability.recording import unwrap_estimator
-from repro.observability.trace import count, timed_span
+from repro.observability.metrics import count
+from repro.observability.trace import timed_span
 from repro.opcodes import Op
 from repro.parallel.engine import WorkerPool, resolve_workers, run_tasks
 from repro.parallel.spill import PortableDag, load_dag, spill_dag

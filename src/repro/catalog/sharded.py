@@ -42,7 +42,7 @@ from repro.catalog.store import (
 )
 from repro.core.sketch import MNCSketch
 from repro.errors import SketchError
-from repro.observability.trace import count
+from repro.observability.metrics import count
 
 #: Default shard count: enough to make lock contention negligible for a
 #: few dozen concurrent request threads, few enough that per-shard budgets

@@ -36,8 +36,7 @@ from typing import Dict, List, Optional
 from repro.core.serialize import load_sketch, save_sketch
 from repro.core.sketch import MNCSketch
 from repro.errors import SketchError
-from repro.observability.metrics import metric_set
-from repro.observability.trace import count
+from repro.observability.metrics import count, metric_set
 
 #: Default in-memory budget: generous for O(m + n) sketches, small enough
 #: that pathological workloads spill instead of exhausting the heap.

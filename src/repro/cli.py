@@ -39,14 +39,16 @@ Commands
   ``--self-test`` injects a fault to prove the shrinker works.
 - ``stats FILE [FILE ...]`` — summarize one or more trace / metrics files
   (merging them when several are given, e.g. per-worker dumps): per-span
-  aggregates (count/total/mean/p95), counters, the metrics snapshot and
-  accuracy residual ledger, and the error-vs-time report. ``--format json``
+  aggregates (count/total/mean/p95), the metrics snapshot (the one
+  counter table) and accuracy residual ledger, and the error-vs-time
+  report. ``--format json``
   emits the same data as a JSON document; ``--prometheus FILE`` writes the
   merged metrics in Prometheus text exposition format.
 
 Every command except ``info``/``stats`` accepts ``--trace FILE`` to record
 an observability trace (spans from sketch construction, estimation,
-propagation, plus per-(use case, estimator) outcomes) as JSON lines,
+propagation, plus per-(use case, estimator) outcomes, then the metrics
+snapshot carrying the counters) as JSON lines,
 ``--metrics FILE`` to dump the process metrics snapshot as JSONL, and
 ``--flight-recorder FILE`` to arm the postmortem flight recorder; see
 ``docs/OBSERVABILITY.md``.
@@ -599,14 +601,6 @@ def _stats_json(data) -> dict:
 
     payload: dict = {
         "spans": [asdict(entry) for entry in aggregate_spans(data.spans)],
-        "counters": dict(sorted(data.counters.items())),
-        "histograms": {
-            name: {
-                "count": len(values),
-                "mean": sum(values) / len(values) if values else None,
-            }
-            for name, values in sorted(data.histograms.items())
-        },
         "outcomes": data.outcomes,
         "metrics": data.metrics.to_dict() if data.metrics is not None else None,
         "residuals": [record.to_dict() for record in data.residuals],
@@ -667,8 +661,8 @@ def _cmd_stats(
         return 0
 
     empty = not (
-        data.spans or data.counters or data.histograms or data.outcomes
-        or data.residuals or (data.metrics is not None)
+        data.spans or data.outcomes or data.residuals
+        or (data.metrics is not None)
     )
     if empty:
         noun = "file" if len(trace_files) == 1 else "files"
@@ -679,19 +673,6 @@ def _cmd_stats(
             aggregate_spans(data.spans),
             title=f"Span aggregates ({len(data.spans)} spans)",
         ))
-    if data.counters:
-        print()
-        print("Counters")
-        for name, value in sorted(data.counters.items()):
-            print(f"  {name} = {value:g}")
-    if data.histograms:
-        from repro.observability.export import percentile
-
-        print()
-        print("Histograms")
-        for name, values in sorted(data.histograms.items()):
-            print(f"  {name}: n={len(values)} mean={sum(values) / len(values):g} "
-                  f"p95={percentile(values, 95.0):g}")
     if data.metrics is not None:
         snapshot = data.metrics
         print()

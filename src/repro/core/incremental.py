@@ -57,7 +57,7 @@ import scipy.sparse as sp
 from repro.core.sketch import MNCSketch
 from repro.errors import ShapeError, SketchError
 from repro.matrix.conversion import MatrixLike, as_csc, as_csr
-from repro.observability.trace import count
+from repro.observability.metrics import count
 
 __all__ = [
     "AppendCols",

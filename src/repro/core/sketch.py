@@ -43,15 +43,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.hotpath import (
-    record_summary_materialization,
-    record_trusted_construction,
-    record_validated_construction,
-    record_zero_vector_hit,
-    validation_forced,
-)
+from repro.core.hotpath import validation_forced
 from repro.errors import SketchError
 from repro.matrix.conversion import MatrixLike, as_csc, as_csr
+from repro.observability.metrics import METRICS
 from repro.observability.trace import trace, tracing_enabled
 
 _FIELD_NAMES = ("shape", "hr", "hc", "her", "hec", "fully_diagonal", "exact")
@@ -73,7 +68,7 @@ def _cached_zeros(length: int, dtype=np.int64) -> np.ndarray:
         arr.setflags(write=False)
         _ZEROS_CACHE[key] = arr
     else:
-        record_zero_vector_hit()
+        METRICS.hotpath.zero_vector_hits += 1
     return arr
 
 
@@ -106,7 +101,7 @@ class MNCSketch:
     exact: bool = True
 
     def __post_init__(self) -> None:
-        record_validated_construction()
+        METRICS.hotpath.validated_constructions += 1
         m, n = self.shape
         hr = np.ascontiguousarray(self.hr, dtype=np.int64)
         hc = np.ascontiguousarray(self.hc, dtype=np.int64)
@@ -174,7 +169,7 @@ class MNCSketch:
                 shape=shape, hr=hr, hc=hc, her=her, hec=hec,
                 fully_diagonal=fully_diagonal, exact=exact,
             )
-        record_trusted_construction()
+        METRICS.hotpath.trusted_constructions += 1
         self = object.__new__(cls)
         d = self.__dict__
         d["shape"] = shape
@@ -302,7 +297,7 @@ class MNCSketch:
         else:
             d.setdefault("_row_stats_max", 0)
             d["_row_stats_nnz"] = d["_row_stats_half"] = d["_row_stats_single"] = 0
-        record_summary_materialization()
+        METRICS.hotpath.summaries_materialized += 1
 
     def _materialize_cols(self) -> None:
         hc, m = self.hc, self.shape[0]
@@ -316,7 +311,7 @@ class MNCSketch:
         else:
             d.setdefault("_col_stats_max", 0)
             d["_col_stats_nnz"] = d["_col_stats_half"] = d["_col_stats_single"] = 0
-        record_summary_materialization()
+        METRICS.hotpath.summaries_materialized += 1
 
     @property
     def max_hr(self) -> int:

@@ -31,7 +31,7 @@ from repro.errors import (
 )
 from repro.matrix.conversion import MatrixLike
 from repro.observability.flight import FLIGHT
-from repro.observability.metrics import metric_inc
+from repro.observability.metrics import count
 from repro.opcodes import Op
 
 
@@ -152,7 +152,7 @@ class SparsityEstimator(abc.ABC):
 
     def _record_crash(self, kind: str, op: Op, exc: Exception) -> None:
         """Log an unexpected handler exception to metrics + flight recorder."""
-        metric_inc(f"estimator.exceptions.{self.name}")
+        count(f"estimator.exceptions.{self.name}")
         FLIGHT.record(
             "estimator_exception", f"{self.name}.{kind}.{op.value}",
             detail={"error": type(exc).__name__, "message": str(exc)[:200]},

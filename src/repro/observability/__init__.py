@@ -9,7 +9,7 @@ reports against. It has six parts:
   clock reads, so instrumented hot paths (sketch construction, product
   estimation, propagation) stay as fast as uninstrumented code. Install a
   :class:`RecordingCollector` — usually via :func:`using_collector` — to
-  accumulate spans, counters, histograms, and benchmark outcomes.
+  accumulate spans and benchmark outcomes.
 - **Spans** (:mod:`repro.observability.trace`): ``trace(name, **attrs)`` is
   both a context manager and a decorator; :class:`timed_span` additionally
   always reads the clock and exposes ``.seconds``, which is the shared
@@ -21,9 +21,11 @@ reports against. It has six parts:
   non-zero counts, result estimate, wall time — while returning bit-identical
   results, so it is usable anywhere an estimator is accepted.
 - **Metrics** (:mod:`repro.observability.metrics`): the process-wide
-  :data:`METRICS` registry — monotonic counters (absorbing the
-  ``hotpath.*`` slots), gauges, log2-bucketed histograms with
-  p50/p95/p99 — plus the **accuracy residual ledger** recording
+  :data:`METRICS` registry, the one store for every counter and
+  histogram — monotonic counters written by :func:`count` (plus the
+  ``hotpath.*`` integer slots bumped directly by sketch construction),
+  gauges, log2-bucketed histograms with p50/p95/p99 written by
+  :func:`observe` — plus the **accuracy residual ledger** recording
   estimate-vs-truth observations (paper metric M1) wherever ground truth
   is computed anyway. Unlike traces, metrics are always on; snapshots are
   versioned, picklable, and merge across parallel workers in task order.
@@ -38,8 +40,9 @@ reports against. It has six parts:
   (:func:`prometheus_exposition`).
 
 CLI integration: every ``python -m repro`` subcommand accepts
-``--trace FILE`` to dump a JSONL trace (now including the metric
-snapshot and residual ledger), and ``python -m repro stats FILE...``
+``--trace FILE`` to dump a JSONL trace (spans and outcomes, then the
+metrics snapshot that carries every counter, and the residual ledger),
+and ``python -m repro stats FILE...``
 summarizes and merges one or more. See ``docs/OBSERVABILITY.md`` for the
 span-name catalog and the metrics model.
 """
@@ -75,19 +78,17 @@ from repro.observability.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
     ResidualRecord,
+    count,
     flush,
-    metric_inc,
-    metric_observe,
     metric_set,
     metrics_snapshot,
+    observe,
     record_residual,
     reset_metrics,
 )
 from repro.observability.trace import (
     NULL_SPAN,
-    count,
     maybe_trace,
-    observe,
     timed_span,
     trace,
     tracing_enabled,
@@ -132,8 +133,6 @@ __all__ = [
     "get_collector",
     "maybe_trace",
     "merge_trace_data",
-    "metric_inc",
-    "metric_observe",
     "metric_set",
     "metrics_snapshot",
     "observe",

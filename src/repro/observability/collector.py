@@ -1,5 +1,9 @@
 """Span collectors: the pluggable sink behind the tracing API.
 
+A collector keeps spans and benchmark outcomes only. Counters and
+histograms live in :data:`repro.observability.metrics.METRICS`, the one
+counter store, whether or not a collector is listening.
+
 Exactly one collector is active per process at a time (swapped atomically
 under a lock, usually via the :func:`using_collector` context manager).
 The default :class:`NullCollector` advertises ``enabled = False``, which
@@ -13,7 +17,7 @@ import abc
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterator, List, Mapping
 
 from repro.observability.metrics import MetricsSnapshot
 
@@ -42,38 +46,30 @@ class SpanRecord:
 
 @dataclass
 class TracePayload:
-    """Picklable snapshot of everything a collector accumulated.
+    """Picklable result of one parallel task's observability.
 
-    The transport format of the parallel engine: workers snapshot their
-    private :class:`RecordingCollector` into a payload, ship it across the
-    process boundary, and the parent merges payloads in task order so the
-    combined trace is deterministic regardless of scheduling. Span
-    ``start`` values stay process-relative — ordering is meaningful within
-    one payload, not across payloads.
+    The transport format of the parallel engine: workers ship their
+    private :class:`RecordingCollector`'s spans and outcomes plus their
+    metrics-registry delta across the process boundary, and the parent
+    merges payloads in task order so the combined trace is deterministic
+    regardless of scheduling. Span ``start`` values stay process-relative
+    — ordering is meaningful within one payload, not across payloads.
     """
 
-    spans: List[SpanRecord] = field(default_factory=list)
-    counters: Dict[str, float] = field(default_factory=dict)
-    histograms: Dict[str, List[float]] = field(default_factory=dict)
-    outcomes: List[Dict[str, Any]] = field(default_factory=list)
     #: Metrics-registry *delta* accumulated while the task ran (what the
-    #: worker's registry gained relative to its entry snapshot). ``None``
-    #: on payloads from builds that predate the metrics layer.
-    metrics: Optional[MetricsSnapshot] = None
+    #: worker's registry gained relative to its entry snapshot) — the only
+    #: route by which worker counters and histograms reach the parent.
+    metrics: MetricsSnapshot
+    spans: List[SpanRecord] = field(default_factory=list)
+    outcomes: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def empty(self) -> bool:
-        return not (
-            self.spans
-            or self.counters
-            or self.histograms
-            or self.outcomes
-            or (self.metrics is not None and not self.metrics.empty)
-        )
+        return not (self.spans or self.outcomes or not self.metrics.empty)
 
 
 class Collector(abc.ABC):
-    """Sink for spans, counters, histograms, and benchmark outcomes.
+    """Sink for spans and benchmark outcomes.
 
     ``enabled`` is the fast-path switch: when ``False``, instrumentation
     skips timing and never calls the ``record_*`` methods.
@@ -85,31 +81,19 @@ class Collector(abc.ABC):
     def record_span(self, record: SpanRecord) -> None:
         """Store one completed span."""
 
-    @abc.abstractmethod
-    def increment(self, name: str, value: float = 1.0) -> None:
-        """Add *value* to the counter *name*."""
-
-    @abc.abstractmethod
-    def observe(self, name: str, value: float) -> None:
-        """Append one observation to the histogram *name*."""
-
     def record_outcome(self, outcome: Mapping[str, Any]) -> None:
         """Store one benchmark outcome (error-vs-time report row)."""
 
     def merge(self, payload: TracePayload) -> None:
-        """Fold a worker's :class:`TracePayload` into this collector.
+        """Fold a worker's spans and outcomes into this collector.
 
         Implemented in terms of the primitive ``record_*`` hooks, so any
         collector (including a disabled one, which drops everything)
-        handles payloads from parallel runs.
+        handles payloads from parallel runs. The payload's metrics delta
+        is the registry's to merge, not the collector's.
         """
         for span in payload.spans:
             self.record_span(span)
-        for name, value in payload.counters.items():
-            self.increment(name, value)
-        for name, values in payload.histograms.items():
-            for value in values:
-                self.observe(name, value)
         for outcome in payload.outcomes:
             self.record_outcome(outcome)
 
@@ -122,15 +106,9 @@ class NullCollector(Collector):
     def record_span(self, record: SpanRecord) -> None:  # pragma: no cover
         pass
 
-    def increment(self, name: str, value: float = 1.0) -> None:
-        pass
-
-    def observe(self, name: str, value: float) -> None:
-        pass
-
 
 class RecordingCollector(Collector):
-    """Accumulates spans, counters, histograms, and outcomes in memory.
+    """Accumulates spans and outcomes in memory.
 
     Thread-safe: the SparsEst harness and the distributed-sketching helpers
     may record from worker threads.
@@ -140,22 +118,12 @@ class RecordingCollector(Collector):
 
     def __init__(self) -> None:
         self.spans: List[SpanRecord] = []
-        self.counters: Dict[str, float] = {}
-        self.histograms: Dict[str, List[float]] = {}
         self.outcomes: List[Dict[str, Any]] = []
         self._lock = threading.Lock()
 
     def record_span(self, record: SpanRecord) -> None:
         with self._lock:
             self.spans.append(record)
-
-    def increment(self, name: str, value: float = 1.0) -> None:
-        with self._lock:
-            self.counters[name] = self.counters.get(name, 0.0) + value
-
-    def observe(self, name: str, value: float) -> None:
-        with self._lock:
-            self.histograms.setdefault(name, []).append(float(value))
 
     def record_outcome(self, outcome: Mapping[str, Any]) -> None:
         with self._lock:
@@ -165,8 +133,6 @@ class RecordingCollector(Collector):
         """Drop everything recorded so far."""
         with self._lock:
             self.spans.clear()
-            self.counters.clear()
-            self.histograms.clear()
             self.outcomes.clear()
 
     def span_names(self) -> List[str]:
@@ -176,20 +142,6 @@ class RecordingCollector(Collector):
             for span in self.spans:
                 seen.setdefault(span.name, None)
             return list(seen)
-
-    def snapshot(self) -> TracePayload:
-        """Copy everything recorded so far into a picklable payload.
-
-        Worker processes call this once per task; the parent merges the
-        payloads via :meth:`Collector.merge`.
-        """
-        with self._lock:
-            return TracePayload(
-                spans=list(self.spans),
-                counters=dict(self.counters),
-                histograms={name: list(vals) for name, vals in self.histograms.items()},
-                outcomes=[dict(outcome) for outcome in self.outcomes],
-            )
 
 
 # ----------------------------------------------------------------------

@@ -4,17 +4,21 @@ The on-disk format is JSON lines, one record per line, discriminated by a
 ``type`` field:
 
 - ``{"type": "span", "name", "start", "seconds", "depth", "attrs"}``
-- ``{"type": "counter", "name", "value"}``
-- ``{"type": "histogram", "name", "values"}``
 - ``{"type": "outcome", "use_case", "estimator", "relative_error",
   "seconds", "status", ...}``
 - ``{"type": "metrics", "schema", "counters", "gauges", "histograms",
   ...}`` — a versioned :class:`~repro.observability.metrics.MetricsSnapshot`
   (see :data:`~repro.observability.metrics.METRICS_SCHEMA_VERSION`;
-  readers reject snapshots from a newer schema).
+  readers reject snapshots from a newer schema). Counters and histograms
+  travel only here.
 - ``{"type": "residual", "source", "estimator", "workload", "op",
   "estimate", "truth", "relative_error", "seconds"}`` — one accuracy
   ledger entry.
+
+Trace files written by older builds also hold per-run ``counter`` and
+``histogram`` records; :func:`read_trace` skips them like any unknown
+type, so those tables are lost on read (the ``metrics`` record in the
+same file still carries the counters).
 
 ``python -m repro stats FILE...`` renders the aggregate tables from such
 files (merging multiple); benchmarks can also consume traces
@@ -69,8 +73,6 @@ class TraceData:
     """Contents of a trace file (or a live collector), decoded."""
 
     spans: List[SpanRecord] = field(default_factory=list)
-    counters: Dict[str, float] = field(default_factory=dict)
-    histograms: Dict[str, List[float]] = field(default_factory=dict)
     outcomes: List[Dict[str, Any]] = field(default_factory=list)
     #: Decoded registry snapshot, when the file contained one (merged when
     #: it contained several).
@@ -83,19 +85,15 @@ def merge_trace_data(parts: Iterable[TraceData]) -> TraceData:
     """Fold several decoded trace/metric files into one view.
 
     Spans, outcomes, and residual ledgers concatenate in input order;
-    counters add; exact-histogram value lists concatenate; metric
-    snapshots merge with registry semantics (counters add, gauges take the
-    later file, bucketed histograms add). The multi-file story behind
-    ``repro stats FILE...`` — per-worker or per-shard dumps aggregate into
-    the same shapes a single-process run would have produced.
+    metric snapshots merge with registry semantics (counters add, gauges
+    take the later file, bucketed histograms add). The multi-file story
+    behind ``repro stats FILE...`` — per-worker or per-shard dumps
+    aggregate into the same shapes a single-process run would have
+    produced.
     """
     merged = TraceData()
     for part in parts:
         merged.spans.extend(part.spans)
-        for name, value in part.counters.items():
-            merged.counters[name] = merged.counters.get(name, 0.0) + value
-        for name, values in part.histograms.items():
-            merged.histograms.setdefault(name, []).extend(values)
         merged.outcomes.extend(part.outcomes)
         merged.residuals.extend(part.residuals)
         if part.metrics is not None:
@@ -122,11 +120,12 @@ def write_trace(
     collector: RecordingCollector,
     metrics: Optional[MetricsSnapshot] = None,
 ) -> int:
-    """Dump *collector* as JSON lines to *path*; returns the record count.
+    """Dump *collector*'s spans and outcomes as JSON lines to *path*;
+    returns the record count.
 
     When *metrics* is given, the snapshot and its residual ledger are
     appended as ``metrics``/``residual`` records, so one ``--trace`` file
-    carries both the span profile and the accuracy telemetry.
+    carries the span profile, the counters, and the accuracy telemetry.
     """
     records: List[Dict[str, Any]] = []
     for span in collector.spans:
@@ -138,10 +137,6 @@ def write_trace(
             "depth": span.depth,
             "attrs": _jsonable(dict(span.attrs)),
         })
-    for name, value in sorted(collector.counters.items()):
-        records.append({"type": "counter", "name": name, "value": value})
-    for name, values in sorted(collector.histograms.items()):
-        records.append({"type": "histogram", "name": name, "values": values})
     for outcome in collector.outcomes:
         records.append({"type": "outcome", **_jsonable(outcome)})
     if metrics is not None:
@@ -185,8 +180,9 @@ def read_metrics_jsonl(path: PathLike) -> MetricsSnapshot:
 def read_trace(path: PathLike) -> TraceData:
     """Parse a JSONL trace file back into structured records.
 
-    Unknown record types are ignored (forward compatibility); blank lines
-    are skipped.
+    Unknown record types are ignored (forward compatibility), and so are
+    the ``counter``/``histogram`` records of older builds; blank lines are
+    skipped.
     """
     data = TraceData()
     with open(path, "r", encoding="utf-8") as handle:
@@ -204,12 +200,6 @@ def read_trace(path: PathLike) -> TraceData:
                     depth=int(record.get("depth", 0)),
                     attrs=record.get("attrs", {}),
                 ))
-            elif kind == "counter":
-                data.counters[record["name"]] = float(record["value"])
-            elif kind == "histogram":
-                data.histograms[record["name"]] = [
-                    float(v) for v in record["values"]
-                ]
             elif kind == "outcome":
                 data.outcomes.append({
                     key: value for key, value in record.items()

@@ -18,8 +18,8 @@ inspected programmatically.
 Event recording is append-to-deque cheap, but it is *not* free, so the
 recorder only sees what the observability layer already touches: spans
 that were actually timed (tracing enabled, or ``timed_span``), explicit
-``count()`` calls, and residual-ledger appends. Raw HOTPATH slot bumps
-never reach it.
+``count()`` calls, and residual-ledger appends. Hot-path slot bumps
+(``METRICS.hotpath``) never reach it.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class FlightRecorder:
         Failures to write are swallowed — the recorder must never turn a
         crash diagnosis into a second crash.
         """
-        _metrics.metric_inc(f"flight.trigger.{trigger}")
+        _metrics.count(f"flight.trigger.{trigger}")
         target = self.armed_path()
         if target is None:
             return None

@@ -22,6 +22,11 @@ dict is measurable, so two zero-overhead forms exist:
 exposes ``.seconds`` after exit, replacing the ad-hoc ``perf_counter``
 pairs that used to live in the SparsEst runner and the DAG estimator —
 and it additionally records a span whenever a collector is listening.
+
+Spans are all this module records. Counters and histograms are written
+with :func:`repro.observability.metrics.count` and
+:func:`~repro.observability.metrics.observe`, which go to the metrics
+registry whether or not a collector is listening.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from typing import Any, Callable, List, Optional, TypeVar
 
 from repro.observability.collector import SpanRecord, get_collector
 from repro.observability.flight import FLIGHT
-from repro.observability.metrics import METRICS
 
 F = TypeVar("F", bound=Callable[..., Any])
 
@@ -199,31 +203,3 @@ def maybe_trace(name: str, **attrs: Any):
         return trace(name, **attrs)
     return NULL_SPAN
 
-
-def count(name: str, value: float = 1.0) -> None:
-    """Increment the counter *name*.
-
-    Always feeds the process-wide metrics registry (counters are cheap and
-    must survive untraced runs); additionally mirrors to the active
-    collector when a trace is being recorded, so trace files keep their
-    per-run counter tables.
-    """
-    METRICS.inc(name, value)
-    if FLIGHT.enabled:
-        FLIGHT.record("metric", name, detail={"delta": value})
-    collector = get_collector()
-    if collector.enabled:
-        collector.increment(name, value)
-
-
-def observe(name: str, value: float) -> None:
-    """Record one histogram observation.
-
-    Always feeds the process-wide metrics registry (log-bucketed, bounded
-    memory); mirrors the exact value to the active collector when a trace
-    is being recorded.
-    """
-    METRICS.observe(name, value)
-    collector = get_collector()
-    if collector.enabled:
-        collector.observe(name, value)

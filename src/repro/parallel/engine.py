@@ -13,12 +13,14 @@ performs. Three properties make that safe to rely on:
   worker* and returned as a :class:`TaskFailure`; a hard worker death
   (``BrokenProcessPool``) converts the affected tasks to failures instead
   of hanging or killing the run. The pool never takes the parent down.
-- **Trace merging.** When the parent has an enabled collector, each worker
-  records its spans/counters/histograms/outcomes into a private
-  :class:`~repro.observability.collector.RecordingCollector`, snapshots it
-  as a picklable :class:`~repro.observability.collector.TracePayload`, and
-  ships it back with the result. The parent merges payloads in task order,
-  so ``repro stats`` and ``--trace`` see one coherent trace regardless of
+- **Trace merging.** Each worker ships its metrics-registry delta back
+  with the result inside a picklable
+  :class:`~repro.observability.collector.TracePayload`; when the parent
+  has an enabled collector, the worker also records its spans/outcomes
+  into a private
+  :class:`~repro.observability.collector.RecordingCollector` and ships
+  them in the same payload. The parent merges payloads in task order, so
+  ``repro stats`` and ``--trace`` see one coherent trace regardless of
   worker count (worker span ``start`` offsets are process-relative and
   only meaningful for intra-worker ordering).
 
@@ -46,8 +48,8 @@ from repro.observability.collector import (
     using_collector,
 )
 from repro.observability.flight import FLIGHT
-from repro.observability.metrics import METRICS
-from repro.observability.trace import count, timed_span
+from repro.observability.metrics import METRICS, count
+from repro.observability.trace import timed_span
 
 #: Environment variable supplying the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -110,17 +112,17 @@ def _invoke(fn: Callable[[Any], Any], task: Any, tracing: bool):
 
     Metrics travel the same road as traces: forked workers inherit the
     parent's live registry, so the shim snapshots a baseline on entry and
-    ships only the task's *delta* back (inside ``payload.metrics``). That
-    keeps the merge crash-safe — a worker that dies mid-task contributes
-    nothing rather than a corrupt partial state — and is why a payload may
-    exist even when tracing is off.
+    ships only the task's *delta* back (inside ``payload.metrics``), with
+    tracing on or off. That keeps the merge crash-safe — a worker that
+    dies mid-task contributes nothing rather than a corrupt partial state.
     """
     baseline = METRICS.snapshot()
     collector = RecordingCollector() if tracing else None
 
     def payload_with_metrics() -> Optional[TracePayload]:
-        payload = collector.snapshot() if collector is not None else TracePayload()
-        payload.metrics = METRICS.snapshot().delta_since(baseline)
+        payload = TracePayload(metrics=METRICS.snapshot().delta_since(baseline))
+        if collector is not None:
+            payload.spans, payload.outcomes = collector.spans, collector.outcomes
         return None if payload.empty else payload
 
     try:
@@ -309,8 +311,7 @@ def _run_pool(
             continue
         if tracing:
             parent.merge(payload)
-        if payload.metrics is not None:
-            METRICS.merge(payload.metrics)
+        METRICS.merge(payload.metrics)
     count("parallel.tasks", float(len(tasks)))
     return results
 

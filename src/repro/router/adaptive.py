@@ -42,8 +42,7 @@ from repro.estimators.mnc import MNCSynopsis
 from repro.estimators.spec import EstimatorSpec
 from repro.ir.estimate import _propagate_dag, estimate_root_nnz
 from repro.ir.nodes import Expr
-from repro.observability.metrics import metric_observe
-from repro.observability.trace import count
+from repro.observability.metrics import count, observe
 from repro.opcodes import Op
 from repro.router.policy import RoutingPolicy
 from repro.router.probe import ProbeReport, probe_hardness
@@ -224,7 +223,7 @@ class AdaptiveRouter:
                 upper=nnz, certified=True, probe=None, tiers_tried=("exact",),
             )
             count("router.tier_used.exact")
-            metric_observe("router.escalations", 0.0)
+            observe("router.escalations", 0.0)
             return nnz, decision
 
         ladder = admissible_tiers(root)
@@ -289,7 +288,7 @@ class AdaptiveRouter:
             tiers_tried=tuple(tried),
         )
         count(f"router.tier_used.{tier.name}")
-        metric_observe("router.escalations", float(escalations))
+        observe("router.escalations", float(escalations))
         if skipped:
             count("router.tiers_skipped", float(skipped))
         return nnz, decision

@@ -156,7 +156,7 @@ class RoutingPolicy:
         """Ingest residuals the metrics registry accumulated since the last
         sync. Never called mid-request — routing stays deterministic for a
         given policy state."""
-        snapshot = registry.snapshot(sync_hotpath=False)
+        snapshot = registry.snapshot()
         if snapshot.residuals_seen <= self._seen:
             return 0
         records = snapshot.residuals

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.observability.metrics import metric_inc, metric_observe, record_residual
+from repro.observability.metrics import count, observe, record_residual
 from repro.runtime.formats import (
     MatrixFormat,
     choose_format,
@@ -102,16 +102,16 @@ def plan_allocation(
         allocated_bytes=allocated, required_bytes=required,
         optimal_bytes=optimal_bytes,
     )
-    metric_inc("runtime.allocations")
-    metric_observe("runtime.regret_bytes", decision.regret_bytes)
+    count("runtime.allocations")
+    observe("runtime.regret_bytes", decision.regret_bytes)
     if decision.over_allocated_bytes:
-        metric_inc("runtime.over_allocated_bytes", decision.over_allocated_bytes)
+        count("runtime.over_allocated_bytes", decision.over_allocated_bytes)
     if decision.under_allocated_bytes:
-        metric_inc(
+        count(
             "runtime.under_allocated_bytes", decision.under_allocated_bytes
         )
     if not decision.format_correct:
-        metric_inc("runtime.wrong_format")
+        count("runtime.wrong_format")
     record_residual(
         source="allocator",
         estimator=estimator or "unknown",

@@ -31,7 +31,7 @@ from repro.core.incremental import IncrementalSketch
 from repro.core.sketch import MNCSketch
 from repro.errors import ProtocolError, SketchError
 from repro.ir.nodes import Expr, leaf
-from repro.observability.trace import count
+from repro.observability.metrics import count
 
 
 class MatrixRegistry:

@@ -43,8 +43,7 @@ from repro.errors import EstimatorError, ProtocolError, ReproError
 from repro.estimators.base import available_estimators
 from repro.ir.nodes import Expr
 from repro.observability.export import prometheus_exposition
-from repro.observability.metrics import metric_observe, metrics_snapshot
-from repro.observability.trace import count
+from repro.observability.metrics import count, metrics_snapshot, observe
 from repro.serve.protocol import (
     canonical_expr_key,
     decode_estimate_request,
@@ -167,6 +166,7 @@ class EstimationServer:
                 except _HttpError as exc:
                     # Unparseable request: answer once, then hang up (the
                     # stream position is unknown, so keep-alive is unsafe).
+                    count(f"serve.errors.{exc.status}")
                     writer.write(_render_response(
                         exc.status, _json_bytes({"error": exc.message}), _JSON, False
                     ))
@@ -264,7 +264,7 @@ class EstimationServer:
             content_type = _JSON
         elapsed = time.perf_counter() - started
         count(f"serve.requests.{route}")
-        metric_observe(f"serve.latency_seconds.{route}", elapsed)
+        observe(f"serve.latency_seconds.{route}", elapsed)
         if status >= 400:
             count(f"serve.errors.{status}")
         return status, payload, content_type

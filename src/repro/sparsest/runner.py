@@ -43,7 +43,7 @@ from repro.ir.estimate import estimate_root_nnz
 from repro.ir.interpreter import evaluate
 from repro.ir.nodes import Expr
 from repro.observability.collector import get_collector
-from repro.observability.metrics import metric_inc, metric_observe, record_residual
+from repro.observability.metrics import count, observe, record_residual
 from repro.observability.recording import unwrap_estimator
 from repro.observability.trace import timed_span
 from repro.opcodes import Op
@@ -257,7 +257,7 @@ def _record_outcome(outcome: EstimateOutcome) -> EstimateOutcome:
     collector = get_collector()
     if collector.enabled:
         collector.record_outcome(asdict(outcome))
-    metric_inc(f"sparsest.outcomes.{outcome.status}")
+    count(f"sparsest.outcomes.{outcome.status}")
     if outcome.ok:
         record_residual(
             source="sparsest",
@@ -268,7 +268,7 @@ def _record_outcome(outcome: EstimateOutcome) -> EstimateOutcome:
             truth=outcome.true_nnz,
             seconds=outcome.seconds,
         )
-        metric_observe("sparsest.seconds", outcome.seconds)
+        observe("sparsest.seconds", outcome.seconds)
     return outcome
 
 

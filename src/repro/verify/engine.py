@@ -36,7 +36,8 @@ from repro.ir import nodes as ir
 from repro.ir.nodes import Expr
 from repro.matrix.conversion import as_csr
 from repro.observability.flight import FLIGHT
-from repro.observability.trace import count, timed_span
+from repro.observability.metrics import count
+from repro.observability.trace import timed_span
 from repro.opcodes import Op
 from repro.parallel.engine import resolve_workers, run_tasks
 from repro.verify.contracts import (

@@ -12,12 +12,13 @@ results exactly — estimates, serialized bytes, and summary statistics.
 import numpy as np
 import pytest
 
-from repro.core.hotpath import HOTPATH, validated_scope, validation_forced
+from repro.core.hotpath import validated_scope, validation_forced
 from repro.core.serialize import sketch_to_arrays
 from repro.core.sketch import MNCSketch, _cached_zeros
 from repro.estimators.mnc import MNCEstimator
 from repro.ir.estimate import estimate_root_nnz
 from repro.matrix.random import random_sparse
+from repro.observability.metrics import metrics_snapshot
 from repro.verify.generators import all_generators, generate_case
 
 CASES_PER_GENERATOR = 6
@@ -134,32 +135,40 @@ class TestSketchEquivalence:
         assert clone.total_nnz == sketch.total_nnz
 
 
+def _hotpath_delta(before):
+    """``hotpath.*`` counters gained since the snapshot *before*."""
+    gained = metrics_snapshot().delta_since(before).counters
+    return {
+        name[len("hotpath."):]: value
+        for name, value in gained.items() if name.startswith("hotpath.")
+    }
+
+
 class TestHotpathCounters:
     def test_trusted_and_validated_constructions_counted(self):
-        HOTPATH.reset()
+        before = metrics_snapshot()
         sketch = MNCSketch.from_matrix(random_sparse(20, 20, 0.2, seed=1))
-        assert HOTPATH.validated_constructions >= 1
-        before = HOTPATH.trusted_constructions
+        assert _hotpath_delta(before)["validated_constructions"] >= 1
+        before = metrics_snapshot()
         MNCSketch.trusted(
             shape=sketch.shape, hr=sketch.hr, hc=sketch.hc,
             her=sketch.her, hec=sketch.hec,
             fully_diagonal=sketch.fully_diagonal, exact=sketch.exact,
         )
-        assert HOTPATH.trusted_constructions == before + 1
+        assert _hotpath_delta(before) == {"trusted_constructions": 1.0}
 
     def test_trusted_validates_inside_scope(self):
-        HOTPATH.reset()
         sketch = MNCSketch.from_matrix(random_sparse(20, 20, 0.2, seed=1))
-        validated_before = HOTPATH.validated_constructions
-        trusted_before = HOTPATH.trusted_constructions
+        before = metrics_snapshot()
         with validated_scope():
             MNCSketch.trusted(
                 shape=sketch.shape, hr=sketch.hr, hc=sketch.hc,
                 her=sketch.her, hec=sketch.hec,
                 fully_diagonal=sketch.fully_diagonal, exact=sketch.exact,
             )
-        assert HOTPATH.validated_constructions == validated_before + 1
-        assert HOTPATH.trusted_constructions == trusted_before
+        gained = _hotpath_delta(before)
+        assert gained["validated_constructions"] == 1.0
+        assert "trusted_constructions" not in gained
 
     def test_trusted_inside_scope_rejects_bad_sketch(self):
         """validated_scope restores the invariant checks the fast tier skips."""

@@ -27,11 +27,11 @@ from repro.observability import (
     MetricsRegistry,
     MetricsSnapshot,
     ResidualRecord,
+    count,
     merge_trace_data,
-    metric_inc,
-    metric_observe,
     metric_set,
     metrics_snapshot,
+    observe,
     prometheus_exposition,
     read_metrics_jsonl,
     read_trace,
@@ -43,7 +43,7 @@ from repro.observability import (
 )
 from repro.observability.collector import RecordingCollector, using_collector
 from repro.observability.metrics import _Histogram, _relative_error
-from repro.observability.trace import count, timed_span
+from repro.observability.trace import timed_span
 
 
 @pytest.fixture(autouse=True)
@@ -68,19 +68,19 @@ class TestRegistry:
         registry.inc("a")
         registry.inc("a", 2.5)
         registry.inc("b", 4)
-        snapshot = registry.snapshot(sync_hotpath=False)
+        snapshot = registry.snapshot()
         assert snapshot.counters == {"a": 3.5, "b": 4.0}
 
     def test_gauges_last_writer_wins(self):
         registry = MetricsRegistry()
         registry.set_gauge("g", 10)
         registry.set_gauge("g", 7)
-        assert registry.snapshot(sync_hotpath=False).gauges == {"g": 7.0}
+        assert registry.snapshot().gauges == {"g": 7.0}
 
     def test_module_helpers_hit_global_registry(self):
-        metric_inc("helper.counter", 2)
+        count("helper.counter", 2)
         metric_set("helper.gauge", 5)
-        metric_observe("helper.hist", 3.0)
+        observe("helper.hist", 3.0)
         snapshot = metrics_snapshot()
         assert snapshot.counters["helper.counter"] == 2.0
         assert snapshot.gauges["helper.gauge"] == 5.0
@@ -91,22 +91,28 @@ class TestRegistry:
         assert metrics_snapshot().counters["untraced.counter"] == 3.0
 
     def test_hotpath_counters_absorbed_as_deltas(self):
-        from repro.core.hotpath import HOTPATH
         from repro.core.sketch import MNCSketch
         from repro.matrix.random import random_sparse
 
-        before = HOTPATH.snapshot().get("validated_constructions", 0)
+        key = "hotpath.validated_constructions"
+        before = metrics_snapshot()
         MNCSketch.from_matrix(random_sparse(30, 30, 0.1, seed=1))
         first = metrics_snapshot()
-        gained = first.counters.get("hotpath.validated_constructions", 0.0)
-        assert gained >= 1
-        # Syncing twice must not double-count (delta-based absorption).
+        assert first.delta_since(before).counters[key] >= 1
+        # Snapshotting is a read: a second one reports the same value.
         second = metrics_snapshot()
-        assert (
-            second.counters["hotpath.validated_constructions"]
-            == first.counters["hotpath.validated_constructions"]
-        )
-        assert HOTPATH.snapshot()["validated_constructions"] > before
+        assert second.counters[key] == first.counters[key]
+        assert key not in second.delta_since(first).counters
+
+    def test_hotpath_slots_merge_and_reset(self):
+        key = "hotpath.trusted_constructions"
+        before = metrics_snapshot().counters.get(key, 0.0)
+        METRICS.merge(MetricsSnapshot(counters={key: 3.0}))
+        assert metrics_snapshot().counters[key] == before + 3.0
+        assert METRICS.hotpath.trusted_constructions == before + 3
+        reset_metrics()
+        assert key not in metrics_snapshot().counters
+        assert METRICS.hotpath.trusted_constructions == 0
 
     def test_ledger_capacity_is_validated(self):
         with pytest.raises(ValueError, match="ledger_capacity"):
@@ -164,14 +170,14 @@ class TestSnapshotAlgebra:
         registry = MetricsRegistry()
         registry.inc("x", 2)
         registry.observe("h", 3.0)
-        baseline = registry.snapshot(sync_hotpath=False)
+        baseline = registry.snapshot()
         registry.inc("x", 5)
         registry.inc("y")
         registry.observe("h", 9.0)
         registry.record_residual(ResidualRecord(
             "s", "e", "w", "op", 10.0, 12.0, 1.2,
         ))
-        final = registry.snapshot(sync_hotpath=False)
+        final = registry.snapshot()
         delta = final.delta_since(baseline)
         assert delta.counters == {"x": 5.0, "y": 1.0}
         assert len(delta.residuals) == 1
@@ -184,9 +190,9 @@ class TestSnapshotAlgebra:
         registry = MetricsRegistry()
         registry.set_gauge("stable", 4)
         registry.set_gauge("moving", 1)
-        baseline = registry.snapshot(sync_hotpath=False)
+        baseline = registry.snapshot()
         registry.set_gauge("moving", 2)
-        delta = registry.snapshot(sync_hotpath=False).delta_since(baseline)
+        delta = registry.snapshot().delta_since(baseline)
         assert delta.gauges == {"moving": 2.0}
 
     def test_merge_adds_counters_and_concatenates_ledgers(self):
@@ -247,7 +253,7 @@ class TestResidualLedger:
             registry.record_residual(ResidualRecord(
                 "s", "e", f"w{index}", "op", 1, 1, 1.0,
             ))
-        snapshot = registry.snapshot(sync_hotpath=False)
+        snapshot = registry.snapshot()
         assert len(snapshot.residuals) == 4
         assert snapshot.residuals_seen == 10
         assert snapshot.residuals_dropped == 6
@@ -311,9 +317,9 @@ class TestResidualProducers:
 
 class TestSerialization:
     def test_snapshot_roundtrips_through_dict(self):
-        metric_inc("rt.counter", 3)
+        count("rt.counter", 3)
         metric_set("rt.gauge", 9)
-        metric_observe("rt.hist", 2.5)
+        observe("rt.hist", 2.5)
         snapshot = metrics_snapshot()
         decoded = MetricsSnapshot.from_dict(snapshot.to_dict())
         assert decoded.version == METRICS_SCHEMA_VERSION
@@ -331,7 +337,7 @@ class TestSerialization:
             MetricsSnapshot.from_dict(payload)
 
     def test_jsonl_roundtrip_with_residuals(self, tmp_path):
-        metric_inc("file.counter", 7)
+        count("file.counter", 7)
         record_residual(
             source="test", estimator="E", workload="w", op="matmul",
             estimate=4.0, truth=8.0, seconds=0.25,
@@ -352,7 +358,7 @@ class TestSerialization:
             read_metrics_jsonl(path)
 
     def test_write_trace_embeds_metrics(self, tmp_path):
-        metric_inc("traced.counter")
+        count("traced.counter")
         collector = RecordingCollector()
         with using_collector(collector):
             count("span.counter")
@@ -361,7 +367,10 @@ class TestSerialization:
         data = read_trace(path)
         assert data.metrics is not None
         assert data.metrics.counters["traced.counter"] == 1.0
-        assert data.counters["span.counter"] == 1.0
+        # A counter bumped under a collector travels in the metrics record.
+        assert data.metrics.counters["span.counter"] == 1.0
+        kinds = {json.loads(line)["type"] for line in path.read_text().splitlines()}
+        assert kinds == {"metrics"}
 
 
 # ----------------------------------------------------------------------
@@ -378,10 +387,10 @@ _PROM_LINE = re.compile(
 
 class TestPrometheus:
     def test_every_line_parses(self):
-        metric_inc("prom.counter", 3)
+        count("prom.counter", 3)
         metric_set("prom.gauge", 1.5)
-        metric_observe("prom.hist", 0.0)
-        metric_observe("prom.hist", 12.0)
+        observe("prom.hist", 0.0)
+        observe("prom.hist", 12.0)
         record_residual(
             source="verify", estimator="Meta-AC", workload="w", op="matmul",
             estimate=3.0, truth=6.0, seconds=0.5,
@@ -395,14 +404,14 @@ class TestPrometheus:
                 assert _PROM_LINE.match(line), f"unparseable line: {line!r}"
 
     def test_counters_get_total_suffix_and_prefix(self):
-        metric_inc("some.counter")
+        count("some.counter")
         exposition = prometheus_exposition(metrics_snapshot())
         assert "repro_some_counter_total 1" in exposition
 
     def test_histogram_buckets_are_cumulative(self):
-        metric_observe("h", 0.0)
-        metric_observe("h", 3.0)   # bucket [2, 4) -> le="4"
-        metric_observe("h", 3.5)
+        observe("h", 0.0)
+        observe("h", 3.0)   # bucket [2, 4) -> le="4"
+        observe("h", 3.5)
         exposition = prometheus_exposition(metrics_snapshot())
         assert 'repro_h_bucket{le="0"} 1' in exposition
         assert 'repro_h_bucket{le="4"} 3' in exposition
@@ -559,7 +568,7 @@ class TestFlush:
     def test_explicit_flush_to_file(self, tmp_path):
         from repro.observability import flush
 
-        metric_inc("flush.counter", 2)
+        count("flush.counter", 2)
         target = tmp_path / "dump.jsonl"
         written = flush(target)
         assert written == target
@@ -568,7 +577,7 @@ class TestFlush:
     def test_flush_to_directory_is_per_pid(self, tmp_path):
         from repro.observability import flush
 
-        metric_inc("flush.dir")
+        count("flush.dir")
         written = flush(tmp_path)
         assert written == tmp_path / f"metrics-{os.getpid()}.jsonl"
         assert written.exists()
@@ -586,8 +595,8 @@ class TestFlush:
         target = tmp_path / "exit-dump.jsonl"
         script = (
             "import sys\n"
-            "from repro.observability import metric_inc, record_residual\n"
-            "metric_inc('subprocess.counter', 5)\n"
+            "from repro.observability import count, record_residual\n"
+            "count('subprocess.counter', 5)\n"
             "record_residual(source='sub', estimator='E', workload='w',\n"
             "                op='matmul', estimate=2.0, truth=4.0)\n"
             "sys.exit(3)\n"
@@ -615,7 +624,7 @@ class TestStatsCli:
     def _write_snapshot(self, path, counter, value):
         registry = MetricsRegistry()
         registry.inc(counter, value)
-        write_metrics_jsonl(path, registry.snapshot(sync_hotpath=False))
+        write_metrics_jsonl(path, registry.snapshot())
 
     def test_merges_multiple_files(self, tmp_path, capsys):
         from repro.cli import main
@@ -659,7 +668,7 @@ class TestStatsCli:
             ))
             registry.inc("m", 1)
             path = tmp_path / f"part{index}.jsonl"
-            write_metrics_jsonl(path, registry.snapshot(sync_hotpath=False))
+            write_metrics_jsonl(path, registry.snapshot())
             paths.append(path)
         data = merge_trace_data([read_trace(p) for p in paths])
         assert data.metrics.counters["m"] == 2.0

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.observability import (
+    METRICS,
     NullCollector,
     RecordingCollector,
     aggregate_spans,
@@ -106,13 +107,17 @@ class TestSpans:
         assert collector.spans[0].attrs == {"flavor": "test"}
 
     def test_counters_and_histograms(self):
+        baseline = METRICS.snapshot()
         with using_collector(RecordingCollector()) as collector:
             count("hits")
             count("hits", 2.0)
             observe("latency", 0.5)
             observe("latency", 1.5)
-        assert collector.counters == {"hits": 3.0}
-        assert collector.histograms == {"latency": [0.5, 1.5]}
+        delta = METRICS.snapshot().delta_since(baseline)
+        assert delta.counters == {"hits": 3.0}
+        assert delta.histograms["latency"]["count"] == 2
+        assert delta.histograms["latency"]["sum"] == pytest.approx(2.0)
+        assert not collector.spans  # the collector keeps spans only
 
     def test_counters_are_noops_without_collector(self):
         count("ignored")
@@ -154,6 +159,7 @@ class TestAggregation:
 
 class TestJsonlRoundTrip:
     def test_round_trip(self, tmp_path):
+        baseline = METRICS.snapshot()
         collector = RecordingCollector()
         with using_collector(collector):
             with trace("estimator.build", estimator="MNC", shape=(10, 20)):
@@ -165,24 +171,37 @@ class TestJsonlRoundTrip:
             "relative_error": 1.0, "seconds": 0.001, "status": "ok",
         })
         path = tmp_path / "trace.jsonl"
-        records = write_trace(path, collector)
-        assert records == 4
-        # Every line is standalone JSON.
+        delta = METRICS.snapshot().delta_since(baseline)
+        records = write_trace(path, collector, metrics=delta)
+        assert records == 3
+        # Every line is standalone JSON; counters travel in the metrics record.
         lines = path.read_text().strip().splitlines()
-        assert len(lines) == 4
-        for line in lines:
-            json.loads(line)
+        assert [json.loads(line)["type"] for line in lines] == [
+            "span", "outcome", "metrics",
+        ]
 
         data = read_trace(path)
         (span,) = data.spans
         assert span.name == "estimator.build"
         assert span.attrs["estimator"] == "MNC"
         assert span.attrs["shape"] == [10, 20]  # tuples become JSON arrays
-        assert data.counters == {"spans.total": 1.0}
-        assert data.histograms == {"build.seconds": [0.25]}
+        assert data.metrics.counters == {"spans.total": 1.0}
+        assert data.metrics.histograms["build.seconds"]["count"] == 1
+        assert data.metrics.histograms["build.seconds"]["sum"] == 0.25
         (outcome,) = data.outcomes
         assert outcome["use_case"] == "B1.1"
         assert outcome["relative_error"] == 1.0
+
+    def test_older_counter_and_histogram_records_are_skipped(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"type": "counter", "name": "hits", "value": 2}\n'
+            '{"type": "histogram", "name": "latency", "values": [0.5]}\n'
+            '{"type": "metrics", "schema": 1, "counters": {"hits": 2}}\n'
+        )
+        data = read_trace(path)
+        assert data.metrics.counters == {"hits": 2.0}
+        assert not data.spans and not data.outcomes
 
     def test_non_finite_values_survive_serialization(self, tmp_path):
         collector = RecordingCollector()

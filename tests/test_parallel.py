@@ -24,7 +24,7 @@ from repro.matrix.random import random_sparse
 from repro.observability.collector import RecordingCollector, using_collector
 from repro.observability.metrics import (
     METRICS,
-    metric_inc,
+    count,
     record_residual,
 )
 from repro.parallel.engine import (
@@ -67,7 +67,7 @@ def _die_on_two(x):
 
 
 def _bump_metric(x):
-    metric_inc("test.pmerge.counter")
+    count("test.pmerge.counter")
     record_residual(
         source="pmerge", estimator="E", workload=f"t{x}", op="op",
         estimate=float(x), truth=float(x),
@@ -76,7 +76,7 @@ def _bump_metric(x):
 
 
 def _bump_then_fail(x):
-    metric_inc("test.pfail.counter")
+    count("test.pfail.counter")
     if x == 3:
         raise ValueError("three is right out")
     return x
@@ -85,7 +85,7 @@ def _bump_then_fail(x):
 def _bump_or_die(x):
     if x == 2:
         os._exit(13)
-    metric_inc("test.pcrash.counter")
+    count("test.pcrash.counter")
     return x
 
 
@@ -148,6 +148,7 @@ class TestRunTasks:
             map_values(_fail_on_three, [1, 2, 3], workers=1)
 
     def test_worker_traces_merge_into_parent(self):
+        baseline = METRICS.snapshot()
         collector = RecordingCollector()
         with using_collector(collector):
             requests = requests_for(["B1.1"], ["mnc", "meta_wc"], scale=0.05)
@@ -156,7 +157,41 @@ class TestRunTasks:
         assert "sparsest.execute" in names
         assert names.count("sparsest.run") == 2  # one per cell, from workers
         assert len(collector.outcomes) == 2
-        assert collector.counters.get("parallel.pool_runs") == 1
+        delta = METRICS.snapshot().delta_since(baseline)
+        assert delta.counters.get("parallel.pool_runs") == 1
+
+    def test_traced_and_untraced_runs_add_identical_counters(self):
+        # Worker counters reach the parent only through the payload's
+        # metrics delta, so tracing must not change what the registry
+        # gains — and must not count a worker counter twice.
+        requests = requests_for(["B1.1"], ["mnc", "meta_wc"], scale=0.05)
+        execute_outcomes(requests, workers=2)  # warm the dataset caches
+
+        def run(collector):
+            baseline = METRICS.snapshot()
+            if collector is None:
+                execute_outcomes(requests, workers=2)
+            else:
+                with using_collector(collector):
+                    execute_outcomes(requests, workers=2)
+            return METRICS.snapshot().delta_since(baseline)
+
+        untraced = run(None)
+        collector = RecordingCollector()
+        traced = run(collector)
+        assert traced.counters == untraced.counters
+        assert {
+            name: state["count"] for name, state in traced.histograms.items()
+        } == {
+            name: state["count"] for name, state in untraced.histograms.items()
+        }
+        assert traced.counters["parallel.tasks"] == 2.0
+        assert traced.counters["sparsest.outcomes.ok"] == 2.0
+        assert traced.counters["residual.count.sparsest.MNC"] == 1.0
+        assert traced.counters["hotpath.validated_constructions"] >= 1.0
+        names = [span.name for span in collector.spans]
+        assert names.count("sparsest.run") == 2
+        assert len(collector.outcomes) == 2
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +200,7 @@ class TestRunTasks:
 
 class TestMetricMergeBack:
     def _counter(self, name):
-        return METRICS.snapshot(sync_hotpath=False).counters.get(name, 0.0)
+        return METRICS.snapshot().counters.get(name, 0.0)
 
     def test_worker_metric_deltas_merge_in_task_order(self):
         before = self._counter("test.pmerge.counter")

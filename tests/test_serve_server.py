@@ -523,11 +523,23 @@ def _raw_status_line(host, port, request: bytes) -> str:
 
 
 class TestHostileHeads:
-    """A request head the server refuses gets a 4xx and a closed
-    connection, never a silent drop; the server keeps answering."""
+    """A request head the server refuses gets a 4xx, a closed connection
+    and a ``serve.errors.<status>`` count, never a silent drop; the
+    server keeps answering."""
 
     @staticmethod
-    def _assert_still_serving(client):
+    def _errors(client, status: int) -> float:
+        prefix = f"repro_serve_errors_{status}_total "
+        for line in client.metrics_text().splitlines():
+            if line.startswith(prefix):
+                return float(line[len(prefix):])
+        return 0.0
+
+    def _assert_refused(self, client, request: bytes, status_line: str):
+        code = int(status_line.split(" ")[1])
+        before = self._errors(client, code)
+        assert _raw_status_line(client.host, client.port, request) == status_line
+        assert self._errors(client, code) == before + 1
         fresh = ServeClient(client.host, client.port)
         try:
             assert fresh.healthz()["status"] == "ok"
@@ -540,16 +552,16 @@ class TestHostileHeads:
             b"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Big: "
             + b"a" * 70_000 + b"\r\n\r\n"
         )
-        status = _raw_status_line(client.host, client.port, request)
-        assert status == "HTTP/1.1 431 Request Header Fields Too Large"
-        self._assert_still_serving(client)
+        self._assert_refused(
+            client, request, "HTTP/1.1 431 Request Header Fields Too Large"
+        )
 
     def test_overlong_request_line_431(self, server):
         client, _ = server
         request = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: x\r\n\r\n"
-        status = _raw_status_line(client.host, client.port, request)
-        assert status == "HTTP/1.1 431 Request Header Fields Too Large"
-        self._assert_still_serving(client)
+        self._assert_refused(
+            client, request, "HTTP/1.1 431 Request Header Fields Too Large"
+        )
 
     def test_too_many_header_lines_431(self, server):
         from repro.serve.server import MAX_HEADER_LINES
@@ -558,9 +570,9 @@ class TestHostileHeads:
         # One repeated name: lines are counted, not distinct headers.
         lines = b"X-Same: v\r\n" * (MAX_HEADER_LINES + 1)
         request = b"GET /healthz HTTP/1.1\r\n" + lines + b"\r\n"
-        status = _raw_status_line(client.host, client.port, request)
-        assert status == "HTTP/1.1 431 Request Header Fields Too Large"
-        self._assert_still_serving(client)
+        self._assert_refused(
+            client, request, "HTTP/1.1 431 Request Header Fields Too Large"
+        )
 
     def test_header_line_limit_is_inclusive(self, server):
         from repro.serve.server import MAX_HEADER_LINES
@@ -577,6 +589,20 @@ class TestHostileHeads:
             b"POST /estimate HTTP/1.1\r\nHost: x\r\n"
             b"Content-Type: application/json\r\nContent-Length: -5\r\n\r\n"
         )
-        status = _raw_status_line(client.host, client.port, request)
-        assert status == "HTTP/1.1 400 Bad Request"
-        self._assert_still_serving(client)
+        self._assert_refused(client, request, "HTTP/1.1 400 Bad Request")
+
+    def test_malformed_request_line_400(self, server):
+        client, _ = server
+        request = b"GET /healthz\r\nHost: x\r\n\r\n"
+        self._assert_refused(client, request, "HTTP/1.1 400 Bad Request")
+
+    def test_oversized_body_413(self, server):
+        from repro.serve.server import MAX_BODY_BYTES
+
+        client, _ = server
+        # The declared length alone is refused; no body is sent.
+        request = (
+            b"POST /estimate HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1)
+        )
+        self._assert_refused(client, request, "HTTP/1.1 413 Payload Too Large")

@@ -96,8 +96,14 @@ def test_no_shrink_mode_reports_original_case():
 
 
 def test_engine_counts_flow_through_observability():
-    from repro.observability import RecordingCollector, using_collector
+    from repro.observability import (
+        METRICS,
+        RecordingCollector,
+        reset_metrics,
+        using_collector,
+    )
 
+    reset_metrics()
     collector = RecordingCollector()
     with using_collector(collector):
         FuzzEngine(
@@ -106,8 +112,9 @@ def test_engine_counts_flow_through_observability():
             generators=["uniform"],
             budget=2,
         ).run()
-    assert collector.counters.get("verify.cases", 0) > 0
-    assert "verify.violations" in collector.counters
+    counters = METRICS.snapshot().counters
+    assert counters.get("verify.cases", 0) > 0
+    assert "verify.violations" in counters
 
 
 @pytest.mark.fuzz
